@@ -3,7 +3,8 @@
 #
 #   tier1        configure + build with AIC_WERROR=ON (warnings are
 #                errors across src/tests/bench/examples/tools) + full
-#                ctest suite                                  [build/]
+#                ctest suite, then the repository benchmark's own
+#                self-test (perfbench/run.py --selftest)      [build/]
 #   lint         scripts/lint.sh — the aic_lint token-level analyzer
 #                (grep fallback when unbuildable), plus clang-tidy when
 #                installed
@@ -45,14 +46,24 @@ ctest_passed() { # parses "100% tests passed, 0 tests failed out of 302"
   grep -oE '[0-9]+% tests passed.*out of [0-9]+' "$1" | tail -1
 }
 
+# The benchmark's self-test fails closed: a corrupted stored record or a
+# wrong restored byte must fail the run, BENCHMARK.json must match the
+# metric catalog, and a perfbench build failure fails the leg. Its build
+# tree goes under build/ so the repository root stays clean.
+perfbench_selftest() {
+  echo "-- perfbench self-test"
+  CARGO_TARGET_DIR="$PWD/build" python3 perfbench/run.py --selftest
+}
+
 run_tier1() {
-  echo "== tier1: -Werror build + full test suite =="
+  echo "== tier1: -Werror build + full test suite + perfbench self-test =="
   local log
   log=$(mktemp)
   if cmake -B build -S . -DAIC_WERROR=ON >/dev/null &&
     cmake --build build -j"$jobs" &&
-    ctest --test-dir build --output-on-failure -j"$jobs" | tee "$log"; then
-    record tier1 OK "$(ctest_passed "$log"), -Werror clean"
+    ctest --test-dir build --output-on-failure -j"$jobs" | tee "$log" &&
+    perfbench_selftest; then
+    record tier1 OK "$(ctest_passed "$log"), -Werror clean, perfbench self-test ok"
   else
     record tier1 FAIL "see output above"
   fi

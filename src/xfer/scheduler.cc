@@ -68,7 +68,19 @@ void TransferScheduler::add_level(int level, Channel::Config channel,
   AIC_CHECK_MSG(sink != nullptr, "level " << level << " needs a sink");
   AIC_CHECK_MSG(levels_.count(level) == 0,
                 "level " << level << " already registered");
-  levels_[level] = Level{std::make_unique<Channel>(channel), sink, {}};
+  levels_[level] = Level{std::make_unique<Channel>(channel), sink, {}, {}};
+}
+
+void TransferScheduler::Level::stream_open(std::uint64_t tenant) {
+  channel->open_stream();
+  ++streams[tenant];
+}
+
+void TransferScheduler::Level::stream_close(std::uint64_t tenant) {
+  channel->close_stream();
+  const auto it = streams.find(tenant);
+  AIC_CHECK(it != streams.end());
+  if (--it->second == 0) streams.erase(it);
 }
 
 Channel& TransferScheduler::channel(int level) {
@@ -131,18 +143,12 @@ TransferId TransferScheduler::submit(int level, std::string key, Bytes data,
                                                 << level);
   }
   Entry e;
-  e.rec.id = next_id_++;
   e.rec.key = std::move(key);
   e.rec.level = level;
   e.rec.tenant = tenant;
   e.rec.total_bytes = data.size();
-  e.rec.submit_time = now_;
   e.data = std::move(data);
-  e.ready_at = now_;
-  e.wait_since = now_;
-  const TransferId id = e.rec.id;
-  entries_.emplace(id, std::move(e));
-  return id;
+  return add_entry(std::move(e));
 }
 
 TransferId TransferScheduler::submit_sized(int level, std::string key,
@@ -152,37 +158,23 @@ TransferId TransferScheduler::submit_sized(int level, std::string key,
                 "submit to unregistered level " << level);
   AIC_CHECK_MSG(total_bytes > 0, "sized submit of empty object " << key);
   Entry e;
-  e.rec.id = next_id_++;
   e.rec.key = std::move(key);
   e.rec.level = level;
   e.rec.tenant = tenant;
   e.rec.total_bytes = total_bytes;
-  e.rec.submit_time = now_;
   e.synthetic = true;
+  return add_entry(std::move(e));
+}
+
+TransferId TransferScheduler::add_entry(Entry e) {
+  const TransferId id = next_id_++;
+  e.rec.id = id;
+  e.rec.submit_time = now_;
   e.ready_at = now_;
   e.wait_since = now_;
-  const TransferId id = e.rec.id;
   entries_.emplace(id, std::move(e));
+  ready_.emplace(now_, id);
   return id;
-}
-
-bool TransferScheduler::idle() const { return runnable_count() == 0; }
-
-std::size_t TransferScheduler::runnable_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, e] : entries_) {
-    n += (e.rec.state == TransferState::kPending ||
-          e.rec.state == TransferState::kInFlight);
-  }
-  return n;
-}
-
-std::size_t TransferScheduler::interrupted_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, e] : entries_) {
-    n += e.rec.state == TransferState::kInterrupted;
-  }
-  return n;
 }
 
 void TransferScheduler::close_causal(Entry& e, bool aborted) {
@@ -224,31 +216,42 @@ void TransferScheduler::commit(Entry& e) {
   }
 }
 
+std::vector<TransferScheduler::Entry*> TransferScheduler::pop_due(
+    std::set<Event>& queue) {
+  std::vector<Entry*> due;
+  while (!queue.empty() && queue.begin()->first <= now_) {
+    const auto it = entries_.find(queue.begin()->second);
+    AIC_CHECK(it != entries_.end());
+    due.push_back(&it->second);
+    queue.erase(queue.begin());
+  }
+  std::sort(due.begin(), due.end(), [](const Entry* a, const Entry* b) {
+    return a->rec.id < b->rec.id;
+  });
+  return due;
+}
+
 void TransferScheduler::start_ready_attempts() {
   // Two passes so every attempt starting at this instant sees the full
   // concurrent stream count: open all streams first, then price the sends.
   std::vector<Entry*> starting;
-  for (auto& [id, e] : entries_) {
-    if (e.rec.state != TransferState::kPending || e.attempt_active ||
-        e.ready_at > now_) {
-      continue;
-    }
-    if (e.rec.acked_bytes >= e.rec.total_bytes) {
+  for (Entry* e : pop_due(ready_)) {
+    if (e->rec.acked_bytes >= e->rec.total_bytes) {
       // Zero-byte object (or nothing left): publish without touching the
       // wire. Ensure a staged (possibly empty) entry exists to commit.
-      level_of(e).sink->stage(e.rec.key, e.rec.acked_bytes, ByteSpan{});
-      commit(e);
+      level_of(*e).sink->stage(e->rec.key, e->rec.acked_bytes, ByteSpan{});
+      commit(*e);
       continue;
     }
-    starting.push_back(&e);
+    starting.push_back(e);
   }
-  for (Entry* e : starting) level_of(*e).channel->open_stream();
+  for (Entry* e : starting) level_of(*e).stream_open(e->rec.tenant);
   // Price every attempt starting at this instant against the full stream
   // population as of the instant (in-flight + starting) BEFORE any outcome
   // is fixed, so the pricing is order-independent within the batch.
   std::vector<double> bandwidth(starting.size());
   for (std::size_t i = 0; i < starting.size(); ++i) {
-    bandwidth[i] = priced_bandwidth(*starting[i], starting);
+    bandwidth[i] = priced_bandwidth(*starting[i]);
   }
   for (std::size_t i = 0; i < starting.size(); ++i) {
     Entry* e = starting[i];
@@ -272,28 +275,15 @@ void TransferScheduler::start_ready_attempts() {
     e->attempt_acked = out.acked;
     e->attempt_bytes = chunk;
     e->attempt_delivered = out.bytes_delivered;
+    in_flight_.emplace(e->attempt_end, e->rec.id);
   }
 }
 
-double TransferScheduler::priced_bandwidth(
-    const Entry& e, const std::vector<Entry*>& starting) const {
+double TransferScheduler::priced_bandwidth(const Entry& e) const {
   const auto lit = levels_.find(e.rec.level);
   AIC_CHECK(lit != levels_.end());
   const Level& level = lit->second;
-
-  // Stream population on this level at this instant: in-flight attempts
-  // (outcome already fixed, but they still occupy the wire) plus every
-  // attempt in the starting batch. Nothing in `starting` has
-  // attempt_active set yet, so the two sets are disjoint.
-  std::map<std::uint64_t, std::size_t> streams;  // tenant -> stream count
-  for (const auto& [id, other] : entries_) {
-    if (other.rec.level == e.rec.level && other.attempt_active) {
-      ++streams[other.rec.tenant];
-    }
-  }
-  for (const Entry* s : starting) {
-    if (s->rec.level == e.rec.level) ++streams[s->rec.tenant];
-  }
+  const std::map<std::uint64_t, std::size_t>& streams = level.streams;
 
   auto qos_of = [&level](std::uint64_t tenant) {
     const auto it = level.qos.find(tenant);
@@ -303,7 +293,9 @@ double TransferScheduler::priced_bandwidth(
   // Reserved tenants ride their dedicated lanes; best-effort tenants pool
   // their weights over the residual bandwidth. An inactive reserved tenant
   // does not shrink the residual — reservations only bind while the tenant
-  // has streams on the wire.
+  // has streams on the wire. The sums are rebuilt in ascending tenant
+  // order on every call, never kept running, so each price is the same
+  // double no matter how the streams came and went.
   double reserved_active = 0.0;
   double weight_pool = 0.0;
   for (const auto& [tenant, count] : streams) {
@@ -316,7 +308,7 @@ double TransferScheduler::priced_bandwidth(
   }
 
   const TenantQos mine = qos_of(e.rec.tenant);
-  const double my_streams = double(streams[e.rec.tenant]);
+  const double my_streams = double(streams.at(e.rec.tenant));
   if (mine.reserved_bps > 0.0) return mine.reserved_bps / my_streams;
   const double residual =
       std::max(0.0, level.channel->bandwidth_bps() - reserved_active);
@@ -326,7 +318,7 @@ double TransferScheduler::priced_bandwidth(
 
 void TransferScheduler::finish_attempt(Entry& e) {
   Level& level = level_of(e);
-  level.channel->close_stream();
+  level.stream_close(e.rec.tenant);
   e.attempt_active = false;
   e.rec.stats.wire_seconds += e.attempt_end - e.attempt_start;
   e.seg_inflight_s += e.attempt_end - e.attempt_start;
@@ -372,6 +364,7 @@ void TransferScheduler::finish_attempt(Entry& e) {
       commit(e);
     } else {
       e.rec.state = TransferState::kPending;
+      ready_.emplace(e.ready_at, e.rec.id);
     }
     return;
   }
@@ -424,24 +417,20 @@ void TransferScheduler::finish_attempt(Entry& e) {
   e.seg_backoff_s += backoff;
   e.wait_since = e.ready_at;
   e.rec.state = TransferState::kPending;
+  ready_.emplace(e.ready_at, e.rec.id);
 }
 
 void TransferScheduler::run_events(double limit) {
   for (;;) {
+    // Every pending transfer due now has started (or committed), so the
+    // head of each queue is its next event.
     start_ready_attempts();
     double next = kInf;
-    for (const auto& [id, e] : entries_) {
-      if (e.attempt_active) {
-        next = std::min(next, e.attempt_end);
-      } else if (e.rec.state == TransferState::kPending) {
-        next = std::min(next, std::max(e.ready_at, now_));
-      }
-    }
+    if (!in_flight_.empty()) next = in_flight_.begin()->first;
+    if (!ready_.empty()) next = std::min(next, ready_.begin()->first);
     if (next == kInf || next > limit) break;
     now_ = std::max(now_, next);
-    for (auto& [id, e] : entries_) {
-      if (e.attempt_active && e.attempt_end <= now_) finish_attempt(e);
-    }
+    for (Entry* e : pop_due(in_flight_)) finish_attempt(*e);
   }
 }
 
@@ -458,7 +447,8 @@ void TransferScheduler::interrupt_entry(Entry& e) {
   if (e.attempt_active) {
     // The in-flight chunk dies with the failure; charge the wire time
     // actually elapsed, nothing is acked.
-    level_of(e).channel->close_stream();
+    in_flight_.erase({e.attempt_end, e.rec.id});
+    level_of(e).stream_close(e.rec.tenant);
     e.rec.stats.wire_seconds += std::max(0.0, now_ - e.attempt_start);
     e.seg_inflight_s += std::max(0.0, now_ - e.attempt_start);
     e.attempt_active = false;
@@ -472,10 +462,12 @@ void TransferScheduler::interrupt_entry(Entry& e) {
            {"lost", 1.0}});
     }
   } else {
+    ready_.erase({e.ready_at, e.rec.id});
     e.seg_drainq_s += std::max(0.0, now_ - e.wait_since);
   }
   e.stall_since = now_;
   e.rec.state = TransferState::kInterrupted;
+  ++interrupted_;
   ++e.rec.stats.transfers_interrupted;
   if (config_.obs) {
     m_interrupts_->add();
@@ -489,6 +481,8 @@ void TransferScheduler::resume_entry(Entry& e) {
   e.rec.state = TransferState::kPending;
   e.rec.chunk_attempts = 0;  // fresh budget for the resumed drain
   e.ready_at = now_;
+  ready_.emplace(now_, e.rec.id);
+  --interrupted_;
   e.seg_stalled_s += std::max(0.0, now_ - e.stall_since);
   e.wait_since = now_;
   if (config_.obs) {
@@ -554,8 +548,13 @@ void TransferScheduler::discard(TransferId id) {
   AIC_CHECK_MSG(it != entries_.end(), "discard of unknown transfer " << id);
   Entry& e = it->second;
   if (e.attempt_active) {
-    level_of(e).channel->close_stream();
+    in_flight_.erase({e.attempt_end, id});
+    level_of(e).stream_close(e.rec.tenant);
     e.attempt_active = false;
+  } else if (e.rec.state == TransferState::kPending) {
+    ready_.erase({e.ready_at, id});
+  } else if (e.rec.state == TransferState::kInterrupted) {
+    --interrupted_;
   }
   if (!e.rec.terminal()) {
     level_of(e).sink->discard(e.rec.key);

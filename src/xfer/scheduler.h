@@ -26,12 +26,22 @@
 // leaves attempts that end later than t in flight for the next call, so a
 // failure simulator can interleave failures with a drain at any instant.
 // Everything is deterministic — no host clocks, no host randomness.
+//
+// Cost: events are driven from two ordered queues — pending transfers by
+// (ready_at, id), in-flight attempts by (attempt_end, id) — and each level
+// keeps its per-tenant count of open streams, so starting, pricing and
+// finishing a chunk attempt costs O(log n + tenants) in the number n of
+// live transfers. The batch due at one instant is processed in ascending
+// id, the order faults and the drop RNG are consumed in. Level-wide
+// interrupt/resume, stats() and submit()'s duplicate-key check stay O(n).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "xfer/channel.h"
@@ -100,7 +110,7 @@ class TransferScheduler {
   double now() const { return now_; }
   /// True when no transfer is pending or in flight (interrupted and
   /// terminal transfers don't count).
-  bool idle() const;
+  bool idle() const { return runnable_count() == 0; }
 
   /// Runs the event loop until idle (commits, aborts, and interrupted
   /// partials only remain).
@@ -143,8 +153,10 @@ class TransferScheduler {
   /// Throws the transfer's TransferError if it aborted; no-op otherwise.
   void rethrow_if_aborted(TransferId id) const;
 
-  std::size_t runnable_count() const;     // pending + in-flight
-  std::size_t interrupted_count() const;
+  std::size_t runnable_count() const {  // pending + in-flight
+    return ready_.size() + in_flight_.size();
+  }
+  std::size_t interrupted_count() const { return interrupted_; }
   /// Aggregate counters over every transfer this scheduler has seen
   /// (including discarded ones).
   Stats stats() const;
@@ -155,6 +167,13 @@ class TransferScheduler {
     ChunkSink* sink = nullptr;
     /// Per-tenant QoS; absent tenants price as {1.0, 0.0}.
     std::map<std::uint64_t, TenantQos> qos;
+    /// Open streams per tenant (zero counts erased): the population
+    /// priced_bandwidth() prices against. Changed only through
+    /// stream_open/stream_close, together with the channel's own count.
+    std::map<std::uint64_t, std::size_t> streams;
+
+    void stream_open(std::uint64_t tenant);
+    void stream_close(std::uint64_t tenant);
   };
   struct Entry {
     TransferRecord rec;
@@ -181,7 +200,14 @@ class TransferScheduler {
     double seg_stalled_s = 0.0;
   };
 
+  /// (event time, transfer id): the key of both event queues.
+  using Event = std::pair<double, TransferId>;
+
+  TransferId add_entry(Entry e);
   Level& level_of(const Entry& e);
+  /// Removes every event due by now() from `queue` and returns its
+  /// entries in ascending id — the order a batch is processed in.
+  std::vector<Entry*> pop_due(std::set<Event>& queue);
   void start_ready_attempts();
   void finish_attempt(Entry& e);
   void commit(Entry& e);
@@ -192,11 +218,11 @@ class TransferScheduler {
   void interrupt_entry(Entry& e);
   void resume_entry(Entry& e);
   /// Per-stream bandwidth for a starting attempt of `e`, from the level's
-  /// active stream population (in-flight attempts plus those in
-  /// `starting`): reserved tenants get reserved_bps split across their own
-  /// streams, best-effort tenants share the residual by weight.
-  double priced_bandwidth(const Entry& e,
-                          const std::vector<Entry*>& starting) const;
+  /// open streams (in flight plus the batch starting at this instant, all
+  /// opened before any is priced): reserved tenants get reserved_bps split
+  /// across their own streams, best-effort tenants share the residual by
+  /// weight.
+  double priced_bandwidth(const Entry& e) const;
 
   Config config_;
   // Metric handles resolved once at construction (all null when
@@ -217,6 +243,11 @@ class TransferScheduler {
   TransferId next_id_ = 1;
   std::map<int, Level> levels_;
   std::map<TransferId, Entry> entries_;
+  /// Pending transfers by (ready_at, id) and in-flight attempts by
+  /// (attempt_end, id); together they hold exactly the runnable entries.
+  std::set<Event> ready_;
+  std::set<Event> in_flight_;
+  std::size_t interrupted_ = 0;
   /// Zero-filled staging source for synthetic (size-only) transfers; grows
   /// to the largest chunk ever staged and is shared by every such drain.
   Bytes scratch_;
