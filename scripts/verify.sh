@@ -87,7 +87,7 @@ run_tsan() {
   if cmake -B build-tsan -S . -DAIC_SANITIZE=thread >/dev/null &&
     cmake --build build-tsan -j"$jobs" --target aic_tests &&
     ctest --test-dir build-tsan --output-on-failure -j"$jobs" \
-      -R 'ThreadPool|Parallel|Async|UnchangedFastPath|Xfer|Obs|Correcting|Fleet|Lanl|Elastic|Rewind|Timeseries|Slo|Causal' | tee "$log"; then
+      -R 'ThreadPool|Parallel|Async|UnchangedFastPath|Xfer|Obs|Correcting|MoveIndex|Fleet|Lanl|Elastic|Rewind|Timeseries|Slo|Causal' | tee "$log"; then
     record tsan OK "$(ctest_passed "$log")"
   else
     record tsan FAIL "see output above"

@@ -1,7 +1,5 @@
 #include "ckpt/checkpointer.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "common/units.h"
 #include "obs/names.h"
@@ -75,16 +73,11 @@ CheckpointFile Checkpointer::take_incremental(
   return f;
 }
 
-namespace {
-
-/// Shared body of the two take_incremental_delta overloads: `compressor` is
-/// either the serial PageAlignedCompressor or the sharded pipeline — their
-/// outputs are byte-identical, so the checkpoint file is too.
-template <typename Compressor>
-CheckpointFile take_incremental_delta_with(
+CheckpointFile Checkpointer::take_incremental_delta(
     const mem::AddressSpace& space, ByteSpan cpu_state, std::uint64_t sequence,
     double app_time, const std::vector<PageId>& prev_live,
-    const mem::Snapshot& prev, Compressor& compressor, CaptureStats* stats) {
+    const mem::Snapshot& prev, const delta::PageAlignedCompressor& compressor,
+    CaptureStats* stats) {
   CheckpointFile f;
   // The kind follows the compressor's mode: correcting payloads carry
   // cdelta records and need the v3 file magic.
@@ -116,26 +109,6 @@ CheckpointFile take_incremental_delta_with(
     stats->pages_moved = res.pages_moved;
   }
   return f;
-}
-
-}  // namespace
-
-CheckpointFile Checkpointer::take_incremental_delta(
-    const mem::AddressSpace& space, ByteSpan cpu_state, std::uint64_t sequence,
-    double app_time, const std::vector<PageId>& prev_live,
-    const mem::Snapshot& prev, const delta::PageAlignedCompressor& compressor,
-    CaptureStats* stats) {
-  return take_incremental_delta_with(space, cpu_state, sequence, app_time,
-                                     prev_live, prev, compressor, stats);
-}
-
-CheckpointFile Checkpointer::take_incremental_delta(
-    const mem::AddressSpace& space, ByteSpan cpu_state, std::uint64_t sequence,
-    double app_time, const std::vector<PageId>& prev_live,
-    const mem::Snapshot& prev, delta::ParallelPageCompressor& compressor,
-    CaptureStats* stats) {
-  return take_incremental_delta_with(space, cpu_state, sequence, app_time,
-                                     prev_live, prev, compressor, stats);
 }
 
 RestartEngine::Restored RestartEngine::restore(
@@ -236,74 +209,90 @@ CaptureStats CheckpointChain::capture_pages(const mem::Snapshot& pages,
                                             const std::vector<PageId>& live_now,
                                             ByteSpan cpu_state,
                                             double app_time) {
-  CaptureStats stats{};
+  const auto ids = pages.page_ids();
+  AIC_CHECK_MSG(!next_capture_is_full() || ids.size() == live_now.size(),
+                "full capture needs every live page snapshotted");
+  std::vector<delta::DirtyPage> views;
+  views.reserve(ids.size());
+  for (PageId id : ids) views.push_back({id, pages.page_bytes(id)});
+  return capture_views(views, live_now, cpu_state, app_time);
+}
+
+CaptureStats CheckpointChain::capture(const mem::AddressSpace& space,
+                                      ByteSpan cpu_state, double app_time) {
+  const bool full = next_capture_is_full();
+  const std::vector<PageId> live = space.live_pages();
+  const std::vector<PageId> dirty =
+      full ? std::vector<PageId>{} : space.dirty_pages();
+  const std::vector<PageId>& ids = full ? live : dirty;
+  std::vector<delta::DirtyPage> views;
+  views.reserve(ids.size());
+  for (PageId id : ids) views.push_back({id, space.page_bytes(id)});
+  return capture_views(views, live, cpu_state, app_time);
+}
+
+CaptureStats CheckpointChain::capture_views(
+    const std::vector<delta::DirtyPage>& pages,
+    const std::vector<PageId>& live_now, ByteSpan cpu_state, double app_time) {
+  const bool full = next_capture_is_full();
   CheckpointFile file;
   file.sequence = next_sequence_;
   file.app_time = app_time;
   file.cpu_state.assign(cpu_state.begin(), cpu_state.end());
-
-  // Freed pages: live at the previous checkpoint, gone now.
-  for (PageId id : last_live_) {
-    if (!std::binary_search(live_now.begin(), live_now.end(), id))
-      file.freed_pages.push_back(id);
+  // Freed pages: live at the previous checkpoint, gone now. Both lists are
+  // ascending, so one merge pass finds them.
+  if (!full) {
+    auto now = live_now.begin();
+    for (PageId id : last_live_) {
+      while (now != live_now.end() && *now < id) ++now;
+      if (now == live_now.end() || *now != id) file.freed_pages.push_back(id);
+    }
   }
 
-  const auto page_ids = pages.page_ids();
-  if (next_capture_is_full()) {
-    AIC_CHECK_MSG(page_ids.size() == live_now.size(),
-                  "full capture needs every live page snapshotted");
-    file.kind = CheckpointKind::kFull;
-    file.freed_pages.clear();
-    std::vector<std::pair<PageId, ByteSpan>> views;
-    views.reserve(page_ids.size());
-    for (PageId id : page_ids) views.emplace_back(id, pages.page_bytes(id));
-    file.payload = encode_raw_pages(views);
-    stats.kind = file.kind;
-    stats.pages_written = page_ids.size();
-    stats.pages_raw = page_ids.size();
-    stats.uncompressed_bytes = page_ids.size() * kPageSize + cpu_state.size();
-    incrementals_since_full_ = 0;
-  } else if (config_.delta_compress) {
+  CaptureStats stats{};
+  stats.pages_written = pages.size();
+  stats.freed_pages = file.freed_pages.size();
+  stats.uncompressed_bytes = pages.size() * kPageSize + cpu_state.size();
+  if (!full && config_.delta_compress) {
     file.kind = compressor_.correcting()
                     ? CheckpointKind::kIncrementalCorrecting
                     : CheckpointKind::kIncrementalDelta;
-    std::vector<delta::DirtyPage> dirty;
-    dirty.reserve(page_ids.size());
-    for (PageId id : page_ids) dirty.push_back({id, pages.page_bytes(id)});
-    delta::DeltaResult res = compressor_.compress(dirty, accumulated_);
+    delta::DeltaResult res = compressor_.compress(pages, accumulated_, moves_);
     file.payload = std::move(res.payload);
-    stats.kind = file.kind;
-    stats.pages_written = page_ids.size();
-    stats.freed_pages = file.freed_pages.size();
-    stats.uncompressed_bytes = page_ids.size() * kPageSize + cpu_state.size();
     stats.delta_work_units = res.stats.work_units;
     stats.pages_delta = res.pages_delta;
     stats.pages_raw = res.pages_raw;
     stats.pages_same = res.pages_same;
     stats.pages_moved = res.pages_moved;
-    ++incrementals_since_full_;
   } else {
-    file.kind = CheckpointKind::kIncremental;
+    file.kind = full ? CheckpointKind::kFull : CheckpointKind::kIncremental;
     std::vector<std::pair<PageId, ByteSpan>> views;
-    views.reserve(page_ids.size());
-    for (PageId id : page_ids) views.emplace_back(id, pages.page_bytes(id));
+    views.reserve(pages.size());
+    for (const delta::DirtyPage& p : pages) views.emplace_back(p.id, p.bytes);
     file.payload = encode_raw_pages(views);
-    stats.kind = file.kind;
-    stats.pages_written = page_ids.size();
-    stats.pages_raw = page_ids.size();
-    stats.freed_pages = file.freed_pages.size();
-    stats.uncompressed_bytes = page_ids.size() * kPageSize + cpu_state.size();
-    ++incrementals_since_full_;
+    stats.pages_raw = pages.size();
   }
+  stats.kind = file.kind;
   stats.file_bytes = file.serialized_size();
+  incrementals_since_full_ = full ? 0 : incrementals_since_full_ + 1;
   ++next_sequence_;
 
-  if (file.kind == CheckpointKind::kFull) {
+  // Fold this checkpoint into the accumulated state so the *next* delta
+  // has the right source pages, and keep the move index in step with it.
+  if (full) {
     accumulated_ = mem::Snapshot();
+    for (const delta::DirtyPage& p : pages) accumulated_.put_page(p.id, p.bytes);
+    rebuild_move_index();
   } else {
-    for (PageId id : file.freed_pages) accumulated_.erase_page(id);
+    for (PageId id : file.freed_pages) {
+      accumulated_.erase_page(id);
+      if (tracks_moves()) moves_.erase(id);
+    }
+    for (const delta::DirtyPage& p : pages) {
+      accumulated_.put_page(p.id, p.bytes);
+      if (tracks_moves()) moves_.update(p.id, p.bytes);
+    }
   }
-  pages.overlay_onto(accumulated_);
   last_live_ = live_now;
   files_.push_back(std::move(file));
   record_capture(stats);
@@ -311,47 +300,8 @@ CaptureStats CheckpointChain::capture_pages(const mem::Snapshot& pages,
   return stats;
 }
 
-CaptureStats CheckpointChain::capture(const mem::AddressSpace& space,
-                                      ByteSpan cpu_state, double app_time) {
-  CaptureStats stats;
-  const bool want_full =
-      files_.empty() || (config_.full_period > 0 &&
-                         incrementals_since_full_ >= config_.full_period);
-  CheckpointFile file;
-  if (want_full) {
-    file = Checkpointer::take_full(space, cpu_state, next_sequence_, app_time,
-                                   &stats);
-    incrementals_since_full_ = 0;
-  } else if (config_.delta_compress) {
-    file = Checkpointer::take_incremental_delta(
-        space, cpu_state, next_sequence_, app_time, last_live_, accumulated_,
-        compressor_, &stats);
-    ++incrementals_since_full_;
-  } else {
-    file = Checkpointer::take_incremental(space, cpu_state, next_sequence_,
-                                          app_time, last_live_, &stats);
-    ++incrementals_since_full_;
-  }
-  ++next_sequence_;
-
-  // Fold this checkpoint into the accumulated state so the *next* delta has
-  // the right source pages.
-  for (PageId id : file.freed_pages) accumulated_.erase_page(id);
-  if (file.kind == CheckpointKind::kFull) {
-    accumulated_ = mem::Snapshot();
-    for (auto& [id, bytes] : decode_raw_pages(file.payload))
-      accumulated_.put_page(id, bytes);
-  } else {
-    // Dirty pages are in `space` right now — cheaper to copy from the live
-    // space than to re-decode the payload.
-    for (PageId id : space.dirty_pages())
-      accumulated_.put_page(id, space.page_bytes(id));
-  }
-  last_live_ = space.live_pages();
-  files_.push_back(std::move(file));
-  record_capture(stats);
-  admit_to_rewind();
-  return stats;
+void CheckpointChain::rebuild_move_index() {
+  if (tracks_moves()) moves_ = delta::MoveIndex(accumulated_);
 }
 
 void CheckpointChain::admit_to_rewind() {
@@ -460,6 +410,7 @@ void CheckpointChain::rollback_to(std::uint64_t sequence) {
   // Rewind derived state to the restore point.
   auto restored = restore();
   accumulated_ = std::move(restored.memory);
+  rebuild_move_index();
   last_live_ = accumulated_.page_ids();
   next_sequence_ = files_.back().sequence + 1;
   incrementals_since_full_ = 0;

@@ -4,7 +4,8 @@
 //
 // CheckpointChain is the stateful façade the controllers use. It tracks
 // the accumulated previous-checkpoint state (needed both to delta-compress
-// hot pages and to compute the freed-page list), forces a periodic full
+// hot pages and to compute the freed-page list) and, in correcting mode,
+// the whole-page move index over it, forces a periodic full
 // checkpoint to bound the restart chain, and reports per-checkpoint size /
 // work accounting (the `ds` and `dl`-work inputs to the AIC predictor).
 #pragma once
@@ -65,20 +66,13 @@ class Checkpointer {
                                          CaptureStats* stats);
 
   /// Captures dirty pages delta-compressed against `prev` (the accumulated
-  /// state as of the previous checkpoint) with the page-aligned compressor.
+  /// state as of the previous checkpoint) with the page-aligned compressor
+  /// (stateless: correcting mode builds a local move index).
   static CheckpointFile take_incremental_delta(
       const mem::AddressSpace& space, ByteSpan cpu_state,
       std::uint64_t sequence, double app_time,
       const std::vector<PageId>& prev_live, const mem::Snapshot& prev,
       const delta::PageAlignedCompressor& compressor, CaptureStats* stats);
-
-  /// Same, through the sharded multi-threaded pipeline (byte-identical
-  /// output; non-const because the compressor reuses its shard buffers).
-  static CheckpointFile take_incremental_delta(
-      const mem::AddressSpace& space, ByteSpan cpu_state,
-      std::uint64_t sequence, double app_time,
-      const std::vector<PageId>& prev_live, const mem::Snapshot& prev,
-      delta::ParallelPageCompressor& compressor, CaptureStats* stats);
 };
 
 /// Replays a restart chain: one full checkpoint followed by its incremental
@@ -202,6 +196,10 @@ class CheckpointChain {
   /// compressed against).
   const mem::Snapshot& last_state() const { return accumulated_; }
 
+  /// Whole-page move index over last_state(). Kept only for correcting
+  /// delta incrementals; empty, and never built or updated, otherwise.
+  const delta::MoveIndex& move_index() const { return moves_; }
+
   std::uint64_t checkpoints_taken() const { return next_sequence_; }
   const std::vector<CheckpointFile>& files() const { return files_; }
 
@@ -211,9 +209,9 @@ class CheckpointChain {
 
   /// Failure rollback: discards checkpoints with sequence > `sequence`
   /// (taken after the restore point, now invalid) and rewinds the
-  /// accumulated state so the next delta compresses against the restore
-  /// point. The remaining chain must still contain a full checkpoint at or
-  /// before `sequence`.
+  /// accumulated state (and rebuilds the move index) so the next delta
+  /// compresses against the restore point. The remaining chain must still
+  /// contain a full checkpoint at or before `sequence`.
   void rollback_to(std::uint64_t sequence);
 
   /// Total serialized bytes of the files needed to restore the latest
@@ -226,6 +224,20 @@ class CheckpointChain {
   const std::optional<PruneEvent>& last_prune() const { return last_prune_; }
 
  private:
+  /// The one capture path behind capture() and capture_pages(): `pages`
+  /// are the pages to write (every live page for a full checkpoint, the
+  /// dirty set otherwise), `live_now` the ascending live-page set. Encodes
+  /// the file, then folds it into accumulated_ and moves_ together.
+  CaptureStats capture_views(const std::vector<delta::DirtyPage>& pages,
+                             const std::vector<PageId>& live_now,
+                             ByteSpan cpu_state, double app_time);
+  /// True when captures compress with move detection (correcting delta
+  /// incrementals), i.e. when moves_ is kept at all.
+  bool tracks_moves() const {
+    return config_.delta_compress && config_.correcting;
+  }
+  /// Rebuilds moves_ over accumulated_ (full fold, rollback).
+  void rebuild_move_index();
   /// Bumps the ckpt.* counters for one captured checkpoint (no-op when
   /// obs is off).
   void record_capture(const CaptureStats& stats);
@@ -240,6 +252,7 @@ class CheckpointChain {
   delta::ParallelPageCompressor compressor_;
   std::vector<CheckpointFile> files_;
   mem::Snapshot accumulated_;
+  delta::MoveIndex moves_;  // over accumulated_; see move_index()
   std::vector<PageId> last_live_;
   std::uint64_t next_sequence_ = 0;
   std::uint32_t incrementals_since_full_ = 0;

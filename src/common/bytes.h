@@ -6,6 +6,7 @@
 // formats are deterministic and portable.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -117,9 +118,21 @@ class ByteReader {
 
  private:
   std::uint64_t fixed(int n) {
+    // One bounds check per value, failing out of line, and one load on a
+    // little-endian host: word-at-a-time page hashing reads through here.
+    if (std::size_t(n) > data_.size() - pos_) underrun();
     std::uint64_t v = 0;
-    for (int i = 0; i < n; ++i) v |= std::uint64_t(u8()) << (8 * i);
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, data_.data() + pos_, std::size_t(n));
+    } else {
+      for (int i = 0; i < n; ++i)
+        v |= std::uint64_t(data_[pos_ + std::size_t(i)]) << (8 * i);
+    }
+    pos_ += std::size_t(n);
     return v;
+  }
+  [[noreturn, gnu::cold, gnu::noinline]] static void underrun() {
+    AIC_CHECK_MSG(false, "byte stream underrun");
   }
   ByteSpan data_;
   std::size_t pos_ = 0;

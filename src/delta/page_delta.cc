@@ -1,11 +1,12 @@
 #include "delta/page_delta.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <unordered_map>
 
 #include "common/check.h"
 #include "common/units.h"
-#include "delta/rolling_hash.h"
 
 namespace aic::delta {
 namespace {
@@ -25,31 +26,64 @@ void merge_codec_stats(CodecStats& acc, const CodecStats& st) {
 
 MoveIndex::MoveIndex(const mem::Snapshot& prev) {
   by_content_.reserve(prev.page_count());
-  // page_ids() is ascending and emplace keeps the first insert, so a
-  // content collision always resolves to the lowest id — deterministic
-  // regardless of how compress() later shards the dirty set.
-  for (mem::PageId id : prev.page_ids())
-    by_content_.emplace(fnv1a64(prev.page_bytes(id)), id);
+  hash_of_.reserve(prev.page_count());
+  // page_ids() is ascending, so every bucket is built in ascending id.
+  for (mem::PageId id : prev.page_ids()) {
+    const std::uint64_t h = page_hash(prev.page_bytes(id));
+    hash_of_.emplace(id, h);
+    by_content_[h].push_back(id);
+  }
+}
+
+std::uint64_t MoveIndex::page_hash(ByteSpan page) {
+  // Multiply-rotate over 64-bit words, several times faster than
+  // byte-serial FNV-1a on a page; the rotate carries high bits down so a
+  // difference in any bit reaches the whole state.
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+  ByteReader r(page);
+  std::uint64_t h = 0;
+  while (r.remaining() >= 8) h = std::rotl((h ^ r.u64()) * kMul, 29);
+  return h;
 }
 
 std::optional<mem::PageId> MoveIndex::find(ByteSpan bytes,
                                            const mem::Snapshot& prev) const {
   if (by_content_.empty()) return std::nullopt;
-  auto it = by_content_.find(fnv1a64(bytes));
+  auto it = by_content_.find(page_hash(bytes));
   if (it == by_content_.end()) return std::nullopt;
-  ByteSpan cand = prev.page_bytes(it->second);
-  if (std::memcmp(cand.data(), bytes.data(), kPageSize) != 0)
-    return std::nullopt;
-  return it->second;
+  // Ascending scan, every candidate verified: the first match is the
+  // lowest id with this exact content, even past a hash collision.
+  for (mem::PageId id : it->second) {
+    if (std::memcmp(prev.page_bytes(id).data(), bytes.data(), kPageSize) == 0)
+      return id;
+  }
+  return std::nullopt;
+}
+
+void MoveIndex::erase(mem::PageId id) {
+  auto h = hash_of_.find(id);
+  if (h == hash_of_.end()) return;
+  auto bucket = by_content_.find(h->second);
+  std::vector<mem::PageId>& ids = bucket->second;
+  ids.erase(std::lower_bound(ids.begin(), ids.end(), id));
+  if (ids.empty()) by_content_.erase(bucket);
+  hash_of_.erase(h);
+}
+
+void MoveIndex::update(mem::PageId id, ByteSpan bytes) {
+  const std::uint64_t hash = page_hash(bytes);
+  if (auto h = hash_of_.find(id); h != hash_of_.end()) {
+    if (h->second == hash) return;  // same bucket: nothing moves
+    erase(id);
+  }
+  hash_of_.emplace(id, hash);
+  std::vector<mem::PageId>& ids = by_content_[hash];
+  ids.insert(std::lower_bound(ids.begin(), ids.end(), id), id);
 }
 
 PageAlignedCompressor::PageAlignedCompressor(XDelta3Config per_page,
                                              bool correcting)
     : codec_(per_page), correcting_(correcting) {}
-
-MoveIndex PageAlignedCompressor::move_index(const mem::Snapshot& prev) const {
-  return correcting_ ? MoveIndex(prev) : MoveIndex();
-}
 
 void PageAlignedCompressor::encode_page(const DirtyPage& page,
                                         const mem::Snapshot& prev,
@@ -128,6 +162,12 @@ void PageAlignedCompressor::encode_page(const DirtyPage& page,
 
 DeltaResult PageAlignedCompressor::compress(
     const std::vector<DirtyPage>& dirty, const mem::Snapshot& prev) const {
+  return compress(dirty, prev, correcting_ ? MoveIndex(prev) : MoveIndex());
+}
+
+DeltaResult PageAlignedCompressor::compress(const std::vector<DirtyPage>& dirty,
+                                            const mem::Snapshot& prev,
+                                            const MoveIndex& moves) const {
   DeltaResult result;
   result.pages_total = dirty.size();
   // Worst case is every page raw plus small headers; reserving the dirty-set
@@ -135,7 +175,6 @@ DeltaResult PageAlignedCompressor::compress(
   result.payload.reserve(dirty.size() * (kPageSize + 16) + 10);
   ByteWriter w(result.payload);
   w.varint(dirty.size());
-  const MoveIndex moves = move_index(prev);
   for (const DirtyPage& page : dirty) encode_page(page, prev, moves, w, result);
   result.stats.output_bytes = result.payload.size();
   return result;

@@ -18,8 +18,8 @@
 //       is varint src_page_id, varint len, then a correcting-coder
 //       (delta format v3) instruction stream applied against the previous
 //       version of src_page_id — src_page_id == page_id for an in-frame
-//       delta, a different id for a whole-page move (detected via the
-//       MoveIndex content hash, the common case when a region of the
+//       delta, a different id for a whole-page move (found by the
+//       MoveIndex content lookup, the common case when a region of the
 //       address space is memmoved by whole pages). cdelta records only
 //       appear in correcting-mode payloads (checkpoint format v3), but
 //       decompress() always understands all four kinds.
@@ -63,11 +63,18 @@ struct DeltaResult {
 };
 
 /// Content index over the previous checkpoint's pages for whole-page move
-/// detection: fnv1a64(page content) -> lowest page id with that content.
-/// Built once per compress() call (correcting mode only) and shared
-/// read-only across shards, so parallel output stays byte-identical to
-/// serial. Candidates are memcmp-verified before use — a hash collision
-/// costs one compare, never a wrong encoding.
+/// detection: page_hash(content) -> the ids holding it, ascending.
+///
+/// CheckpointChain keeps one across captures: built once when a full
+/// checkpoint is folded in (and on rollback), then updated at every
+/// incremental fold from that file's freed pages (erase) and dirty pages
+/// (update) only — O(dirty) per checkpoint, not O(footprint). The
+/// stateless compress(dirty, prev) entry points build a local one.
+/// Compression only reads it, so shards share it without locking.
+///
+/// find() is a function of page content alone: the hash only picks a
+/// bucket, and every candidate is memcmp-verified, so the answer is the
+/// same whichever hash is used and however the dirty set is sharded.
 class MoveIndex {
  public:
   /// Empty index: move detection off (greedy mode).
@@ -75,12 +82,25 @@ class MoveIndex {
   explicit MoveIndex(const mem::Snapshot& prev);
 
   /// Lowest previous-page id whose content is bit-identical to `bytes`,
-  /// or nullopt.
+  /// or nullopt. `prev` must be the image the index describes.
   std::optional<mem::PageId> find(ByteSpan bytes,
                                   const mem::Snapshot& prev) const;
 
+  /// Drops page `id` (freed). No-op when absent.
+  void erase(mem::PageId id);
+  /// Indexes page `id` with its new content, replacing any old entry.
+  void update(mem::PageId id, ByteSpan bytes);
+
+  /// Indexed page count.
+  std::size_t size() const { return hash_of_.size(); }
+  bool operator==(const MoveIndex&) const = default;
+
  private:
-  std::unordered_map<std::uint64_t, mem::PageId> by_content_;
+  /// Word-at-a-time page hash (bucket selector only; see find()).
+  static std::uint64_t page_hash(ByteSpan page);
+
+  std::unordered_map<std::uint64_t, std::vector<mem::PageId>> by_content_;
+  std::unordered_map<mem::PageId, std::uint64_t> hash_of_;
 };
 
 /// Page-aligned delta compressor: Xdelta3-PA (greedy), or — in correcting
@@ -96,7 +116,15 @@ class PageAlignedCompressor {
     return XDelta3Config{.block_size = 32, .max_probes = 8, .min_match = 12};
   }
 
-  /// Compresses `dirty` against `prev` (the previous checkpoint's pages).
+  /// Compresses `dirty` against `prev` (the previous checkpoint's pages),
+  /// finding whole-page moves through `moves`, which must index `prev`
+  /// (ignored in greedy mode).
+  DeltaResult compress(const std::vector<DirtyPage>& dirty,
+                       const mem::Snapshot& prev,
+                       const MoveIndex& moves) const;
+
+  /// Stateless form: builds a local MoveIndex over `prev` in correcting
+  /// mode. The reference the persistent-index path is tested against.
   DeltaResult compress(const std::vector<DirtyPage>& dirty,
                        const mem::Snapshot& prev) const;
 
@@ -115,15 +143,11 @@ class PageAlignedCompressor {
   /// applied AFTER this call, exactly like the decompress() path.
   void decompress_in_place(ByteSpan payload, mem::Snapshot& state) const;
 
-  /// Builds the move index for one compress() call: populated in
-  /// correcting mode, empty (detection off) in greedy mode.
-  MoveIndex move_index(const mem::Snapshot& prev) const;
-
   /// Encodes one dirty page (same/cdelta/delta/raw record) into `w`,
   /// merging its accounting into `acc` — everything except
   /// `stats.output_bytes`, which the caller sets from the finished
-  /// payload. `moves` is the shared per-call MoveIndex (from
-  /// move_index()). This is the single per-page encoder shared with
+  /// payload. `moves` indexes `prev` (read only in correcting mode). This
+  /// is the single per-page encoder shared with
   /// ParallelPageCompressor: both compressors emit the exact same record
   /// stream, which is what makes parallel output byte-identical to serial
   /// output (a tested invariant).

@@ -44,7 +44,8 @@ void ParallelPageCompressor::record_compress(const DeltaResult& result,
 }
 
 DeltaResult ParallelPageCompressor::compress(
-    const std::vector<DirtyPage>& dirty, const mem::Snapshot& prev) {
+    const std::vector<DirtyPage>& dirty, const mem::Snapshot& prev,
+    const MoveIndex& moves) {
   const std::size_t n = dirty.size();
   const std::size_t min_pages = std::max<std::size_t>(config_.min_shard_pages, 1);
   // One shard per worker unless the set is too small to feed them all.
@@ -55,7 +56,7 @@ DeltaResult ParallelPageCompressor::compress(
     // single-core run shows its compression work like any other.
     if (obs::Hub* hub = config_.obs) {
       const double t0 = hub->trace.wall_seconds();
-      DeltaResult result = serial_.compress(dirty, prev);
+      DeltaResult result = serial_.compress(dirty, prev, moves);
       hub->trace.span(obs::TimeDomain::kWall, on::kCatDelta, on::kEvShard, t0,
                       hub->trace.wall_seconds(), 0,
                       {{"pages", double(n)},
@@ -64,17 +65,11 @@ DeltaResult ParallelPageCompressor::compress(
       record_compress(result, 1);
       return result;
     }
-    return serial_.compress(dirty, prev);
+    return serial_.compress(dirty, prev, moves);
   }
 
   if (!pool_) pool_ = std::make_unique<common::ThreadPool>(workers_ - 1);
   if (shard_buffers_.size() < shards) shard_buffers_.resize(shards);
-
-  // Built once, shared read-only by every shard: move candidates are a
-  // function of `prev` alone, which is what keeps parallel output
-  // byte-identical to serial in correcting mode. Empty (and free) in
-  // greedy mode.
-  const MoveIndex moves = serial_.move_index(prev);
 
   // Contiguous balanced partition: shard s gets [begin(s), begin(s+1)).
   const std::size_t base = n / shards, rem = n % shards;

@@ -42,9 +42,9 @@ class ParallelPageCompressor {
     XDelta3Config page_codec = PageAlignedCompressor::page_config();
     /// Encode with the one-pass correcting coder (cdelta records +
     /// whole-page move detection) instead of the greedy per-page coder.
-    /// The byte-identity invariant holds in both modes: the MoveIndex is
-    /// built once from `prev` before sharding, so every shard sees the
-    /// same move candidates as a serial encode would.
+    /// The byte-identity invariant holds in both modes: every shard reads
+    /// the same MoveIndex, and its find() depends on page content alone,
+    /// so shards see the same move sources as a serial encode would.
     bool correcting = false;
     /// Encoding threads (including the calling thread); 0 = auto
     /// (ThreadPool::default_workers(), i.e. hardware_concurrency() - 1 —
@@ -63,10 +63,18 @@ class ParallelPageCompressor {
   explicit ParallelPageCompressor(Config config);
 
   /// Same contract as PageAlignedCompressor::compress; output is
-  /// byte-identical to it. Not thread-safe per instance (reuses the shard
-  /// scratch buffers).
+  /// byte-identical to it. `moves` must index `prev` (CheckpointChain
+  /// passes the one it keeps across captures); the shards only read it.
+  /// Not thread-safe per instance (reuses the shard scratch buffers).
   DeltaResult compress(const std::vector<DirtyPage>& dirty,
-                       const mem::Snapshot& prev);
+                       const mem::Snapshot& prev, const MoveIndex& moves);
+
+  /// Stateless form: builds a local MoveIndex over `prev` in correcting
+  /// mode.
+  DeltaResult compress(const std::vector<DirtyPage>& dirty,
+                       const mem::Snapshot& prev) {
+    return compress(dirty, prev, correcting() ? MoveIndex(prev) : MoveIndex());
+  }
 
   /// Decoding is cheap and stays serial.
   mem::Snapshot decompress(ByteSpan payload, const mem::Snapshot& prev) const {
