@@ -8,159 +8,33 @@
 # (.aic-lint-baseline.json) and inline `aic-lint: allow(rule)` comments.
 # See DESIGN.md §14 for the rule catalog.
 #
-# When the toolchain can build aic_lint, it is the gate. When it cannot
-# (no cmake/compiler), the script falls back to comment/string-stripped
-# greps for the original six conventions:
+# aic_lint covers the six original conventions (L1 raw new/delete outside
+# src/common/, L2 <iostream> in src/, L3 printf-family in src/, L4
+# abort/exit in library code, L5 host-clock reads outside src/obs/, L6 raw
+# memcpy in src/delta and src/ckpt) with the other rules. The gate fails
+# closed: when aic_lint cannot be built (no cmake or compiler), the script
+# exits 1 rather than run a weaker check.
 #
-#   L1  no raw `new`/`delete` outside src/common/;
-#   L2  no `#include <iostream>` in src/ library code;
-#   L3  no `printf`-family calls in src/;
-#   L4  library code never calls `abort`/`exit`;
-#   L5  no chrono clock ::now() in src/ outside src/obs/, nor anywhere in
-#       bench/ or tools/ — obs::wall_now_ns is the single host-clock
-#       gateway;
-#   L6  no raw `memcpy(` in src/delta/ or src/ckpt/ (aliasing-sensitive
-#       layers) — std::memmove or common/bytes.h copy_no_overlap.
-#
-# clang-tidy (when installed) runs in both modes, off the exported
+# clang-tidy (when installed) runs after aic_lint, off the exported
 # compile_commands.json.
 #
 # Usage: scripts/lint.sh
-# Exit: 0 clean, 1 findings.
+# Exit: 0 clean, 1 findings or no analyzer.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-status=0
-fail() {
-  echo "lint: $1"
-  shift
-  printf '  %s\n' "$@"
-  status=1
-}
-
-# Strips // and /* */ comments plus string/char literal *contents* (line
-# count preserved, quotes kept as empty literals), so prose like
-# "// new pages stored verbatim" and labels like "chunk time (s)" never
-# trip the greps — and a "//" inside a string no longer truncates the
-# line and hides real code after it. Raw strings are beyond a line
-# stripper; aic_lint handles those.
-strip_code() { # strip_code <file>
-  awk '
-    {
-      line = $0; out = ""; i = 1; n = length(line)
-      while (i <= n) {
-        c = substr(line, i, 1); two = substr(line, i, 2)
-        if (in_block) {
-          if (two == "*/") { in_block = 0; i += 2 } else i++
-          continue
-        }
-        if (two == "//") break
-        if (two == "/*") { in_block = 1; i += 2; continue }
-        if (c == "\"" || c == "\x27") {
-          q = c; i++
-          while (i <= n) {
-            d = substr(line, i, 1)
-            if (d == "\\") { i += 2; continue }
-            i++
-            if (d == q) break
-          }
-          out = out q q
-          continue
-        }
-        out = out c; i++
-      }
-      print out
-    }' "$1"
-}
-
-scan_code() { # scan_code <pattern> <file>...
-  local pattern=$1
-  shift
-  local f
-  for f in "$@"; do
-    strip_code "$f" | grep -nE "$pattern" | sed "s|^|$f:|"
-  done
-  return 0
-}
-
-run_grep_rules() {
-  mapfile -t lib_files < <(find src -name '*.cc' -o -name '*.h' | sort)
-  mapfile -t noncommon_files < <(printf '%s\n' "${lib_files[@]}" \
-    | grep -v '^src/common/')
-
-  # --- L1: raw new/delete outside common/ -----------------------------------
-  # Allocation expressions only: `new Type`/`new (`, `delete x`/`delete[] x`.
-  mapfile -t hits < <(scan_code \
-    '(^|[^[:alnum:]_])(new +[A-Za-z_(]|delete( *\[\])? +[A-Za-z_*])' \
-    "${noncommon_files[@]}")
-  if ((${#hits[@]})); then
-    fail "raw new/delete outside src/common/:" "${hits[@]}"
-  fi
-
-  # --- L2: iostream in library code -----------------------------------------
-  mapfile -t hits < <(scan_code '#include <iostream>' "${lib_files[@]}")
-  if ((${#hits[@]})); then
-    fail "#include <iostream> in src/ library code:" "${hits[@]}"
-  fi
-
-  # --- L3: printf-family in library code ------------------------------------
-  mapfile -t hits < <(scan_code \
-    '(^|[^[:alnum:]_])(printf|fprintf|puts) *\(' "${lib_files[@]}")
-  if ((${#hits[@]})); then
-    fail "printf-family call in src/ library code:" "${hits[@]}"
-  fi
-
-  # --- L4: abort/exit in library code ---------------------------------------
-  # (aic_lint also covers _Exit/quick_exit and honours inline allows; the
-  # fallback keeps the original, allow-free scope.)
-  mapfile -t hits < <(scan_code \
-    '(^|[^[:alnum:]_])(std::)?(abort|exit) *\(' "${lib_files[@]}")
-  if ((${#hits[@]})); then
-    fail "abort/exit in src/ library code:" "${hits[@]}"
-  fi
-
-  # --- L5: host-clock reads outside src/obs/ --------------------------------
-  # bench/ and tools/ are held to the same rule: their timing flows into
-  # BENCH_<target>.json records that aic_benchdiff compares across runs, so
-  # it must come from the one gateway the tests can reason about.
-  mapfile -t nonobs_files < <(printf '%s\n' "${lib_files[@]}" \
-    | grep -v '^src/obs/')
-  mapfile -t frontend_files < <(find bench tools -name '*.cc' -o -name '*.h' \
-    | sort)
-  mapfile -t hits < <(scan_code \
-    '(system_clock|steady_clock|high_resolution_clock) *:: *now *\(' \
-    "${nonobs_files[@]}" "${frontend_files[@]}")
-  if ((${#hits[@]})); then
-    fail "chrono clock ::now() outside src/obs/ (use obs::wall_now_ns):" \
-      "${hits[@]}"
-  fi
-
-  # --- L6: raw memcpy in the aliasing-sensitive layers ----------------------
-  mapfile -t overlap_files < <(find src/delta src/ckpt \
-    -name '*.cc' -o -name '*.h' | sort)
-  mapfile -t hits < <(scan_code \
-    '(^|[^[:alnum:]_])(std::)?memcpy *\(' "${overlap_files[@]}")
-  if ((${#hits[@]})); then
-    fail "raw memcpy in src/delta|src/ckpt (use std::memmove or copy_no_overlap):" \
-      "${hits[@]}"
-  fi
-}
-
-# --- aic_lint (primary) or the grep fallback ---------------------------------
-aic_lint_bin=""
-if command -v cmake >/dev/null 2>&1 &&
-  cmake -B build -S . >/dev/null 2>&1 &&
-  cmake --build build --target aic_lint -j"$(nproc)" >/dev/null 2>&1; then
-  aic_lint_bin=build/tools_build/aic_lint
+if ! command -v cmake >/dev/null 2>&1 ||
+  ! cmake -B build -S . >/dev/null 2>&1 ||
+  ! cmake --build build --target aic_lint -j"$(nproc)" >/dev/null 2>&1 ||
+  [[ ! -x build/tools_build/aic_lint ]]; then
+  echo "lint: cannot build aic_lint; failing closed (no fallback check)"
+  exit 1
 fi
-if [[ -x "$aic_lint_bin" ]]; then
-  echo "lint: running aic_lint (token-level analyzer, DESIGN.md §14)"
-  if ! "$aic_lint_bin" --root .; then
-    status=1
-  fi
-else
-  echo "lint: cannot build aic_lint; falling back to stripped greps (L1-L6)"
-  run_grep_rules
+
+status=0
+echo "lint: running aic_lint (token-level analyzer, DESIGN.md §14)"
+if ! build/tools_build/aic_lint --root .; then
+  status=1
 fi
 
 # --- clang-tidy (optional: profile in .clang-tidy) ---------------------------
@@ -175,7 +49,7 @@ if command -v clang-tidy >/dev/null 2>&1; then
     status=1
   fi
 else
-  echo "lint: clang-tidy not installed; skipping (aic_lint/greps still enforced)"
+  echo "lint: clang-tidy not installed; skipping (aic_lint still enforced)"
 fi
 
 if ((status == 0)); then

@@ -6,8 +6,8 @@
 #                ctest suite, then the repository benchmark's own
 #                self-test (perfbench/run.py --selftest)      [build/]
 #   lint         scripts/lint.sh — the aic_lint token-level analyzer
-#                (grep fallback when unbuildable), plus clang-tidy when
-#                installed
+#                (fails when aic_lint cannot build), plus clang-tidy
+#                when installed
 #   tsan         concurrency tests under ThreadSanitizer      [build-tsan/]
 #   asan+ubsan   the FULL test suite under AddressSanitizer +
 #                UndefinedBehaviorSanitizer, plus the aic_lint fixture

@@ -5,6 +5,7 @@
 
 #include "ckpt/checkpointer.h"
 #include "common/check.h"
+#include "control/take_rule.h"
 #include "model/optimizer.h"
 #include "predictor/hot_page_sampler.h"
 
@@ -29,21 +30,20 @@ double cycle_length(const workload::WorkloadProfile& profile) {
 
 /// Job-wide latency estimate: every rank writes its local checkpoint and
 /// ships its delta in parallel; the coordinated barrier completes at the
-/// slowest rank, so each c_k aggregates by max.
+/// slowest rank, so each c_k aggregates by max. A rank whose sampler has
+/// no JD yet counts as fully dirty (JD = 1).
 IntervalParams aggregate_estimate(const std::vector<Rank>& ranks,
                                   const CostModel& costs) {
   IntervalParams job{};
   for (const Rank& r : ranks) {
-    const double dirty_bytes =
-        double(r.space.dirty_page_count()) * double(kPageSize);
     const auto jd_di = r.sampler->compute(r.space);
-    const double jd = jd_di.ok ? jd_di.mean_jd : 1.0;
-    const double ds = dirty_bytes * std::max(jd, 0.02);
-    const double dl = 2.5 * dirty_bytes / costs.compress_bps;
-    const double c1 = dirty_bytes / costs.local_bps;
-    job.c1 = std::max(job.c1, c1);
-    job.c2 = std::max(job.c2, c1 + dl + ds / costs.b2_bps);
-    job.c3 = std::max(job.c3, c1 + dl + ds / costs.b3_bps);
+    predictor::BaseMetrics m;
+    m.dirty_pages = double(r.space.dirty_page_count());
+    m.jd = jd_di.ok ? jd_di.mean_jd : 1.0;
+    const IntervalParams p = estimate_params(m, costs);
+    job.c1 = std::max(job.c1, p.c1);
+    job.c2 = std::max(job.c2, p.c2);
+    job.c3 = std::max(job.c3, p.c3);
   }
   job.r1 = job.c1;
   job.r2 = job.c2;
@@ -112,8 +112,6 @@ CoordinatedResult run_coordinated(Scheme scheme,
     // of rank 0's profile via the adaptive model at mid-run conditions.
     // Use the offline optimum for the aggregate estimate after a warmup
     // interval of one cycle.
-    CoordinatedConfig probe_cfg = config;
-    (void)probe_cfg;
     // Cheap approximation: run one cycle, take the aggregate estimate.
     std::vector<Rank> probe(1);
     auto profile = proto;
@@ -141,9 +139,7 @@ CoordinatedResult run_coordinated(Scheme scheme,
   double total_expected = 0.0;
   double total_work = 0.0;
   double total_delta = 0.0;
-  std::vector<double> c3_window;
-  double prev_c3 = -1.0;
-  int decline_streak = 0;
+  TakeRule rule(base.min_w, base.max_w);
 
   auto finished = [&] {
     for (auto& rank : ranks)
@@ -157,37 +153,10 @@ CoordinatedResult run_coordinated(Scheme scheme,
     const double elapsed = now - interval_start;
 
     const IntervalParams cur = aggregate_estimate(ranks, base.costs);
-    bool take = false;
-    if (scheme == Scheme::kSic) {
-      take = elapsed >= w_static;
-    } else {
-      auto objective = [&](double w) {
-        return model::net2_adaptive(sys, w, cur, prev);
-      };
-      const auto best = model::extreme_value_minimum(
-          objective, base.min_w, base.max_w, std::max(elapsed, base.min_w));
-
-      c3_window.push_back(cur.c3);
-      if (c3_window.size() > 40) c3_window.erase(c3_window.begin());
-      const double wmin =
-          *std::min_element(c3_window.begin(), c3_window.end());
-      double wmean = 0.0;
-      for (double v : c3_window) wmean += v;
-      wmean /= double(c3_window.size());
-      const bool upturn =
-          decline_streak >= 3 && prev_c3 >= 0.0 && cur.c3 > prev_c3;
-      if (prev_c3 >= 0.0 && cur.c3 < prev_c3) {
-        ++decline_streak;
-      } else if (cur.c3 > prev_c3) {
-        decline_streak = 0;
-      }
-      prev_c3 = cur.c3;
-      const bool at_dip =
-          cur.c3 <= 1.1 * wmin || cur.c3 <= 0.7 * wmean || upturn;
-      const bool starved = elapsed > 3.0 * best.x;
-      take = best.x <= elapsed && (at_dip || starved);
-    }
-    take = take && now >= core_free_at - 1e-9;
+    const bool due = scheme == Scheme::kSic
+                         ? elapsed >= w_static
+                         : rule.decide(sys, cur, prev, elapsed).take;
+    const bool take = due && now >= core_free_at - 1e-9;
 
     if (take && !finished()) {
       // Coordinated capture: every rank checkpoints at the barrier; the

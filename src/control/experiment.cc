@@ -5,6 +5,7 @@
 
 #include "ckpt/checkpointer.h"
 #include "common/check.h"
+#include "control/take_rule.h"
 #include "model/moody.h"
 #include "model/optimizer.h"
 #include "obs/names.h"
@@ -202,28 +203,6 @@ class ConcurrentRun {
   std::vector<IntervalRecord> intervals_;
 };
 
-/// First-principles estimate of the checkpoint latency variables from the
-/// lightweight metrics alone — used until the stepwise-regression model has
-/// its four seed samples, so AIC is adaptive from the very first decision.
-/// The sampler buffers each hot page's pre-write (last-checkpoint) content,
-/// so JD is a direct estimate of the per-page delta fraction:
-///   ds ~ DP * page * JD,  dl ~ compressor passes over the dirty bytes,
-///   c1 ~ dirty bytes / local bandwidth.
-IntervalParams estimate_params(const predictor::BaseMetrics& m,
-                               const CostModel& costs) {
-  const double dirty_bytes = m.dirty_pages * double(kPageSize);
-  const double ds = dirty_bytes * std::max(m.jd, 0.02);
-  const double dl = 2.5 * dirty_bytes / costs.compress_bps;
-  IntervalParams p;
-  p.c1 = dirty_bytes / costs.local_bps;
-  p.c2 = p.c1 + dl + ds / costs.b2_bps;
-  p.c3 = p.c1 + dl + ds / costs.b3_bps;
-  p.r1 = p.c1;
-  p.r2 = p.c2;
-  p.r3 = p.c3;
-  return p;
-}
-
 ExperimentResult run_aic(workload::SpecBenchmark benchmark,
                          const ExperimentConfig& config) {
   ConcurrentRun run(benchmark, config);
@@ -247,22 +226,7 @@ ExperimentResult run_aic(workload::SpecBenchmark benchmark,
                            obs::Histogram::exponential_buckets(1.0, 2.0, 18));
   }
 
-  // Trailing window of predicted c3 values for dip gating: once the span
-  // condition w_L* <= elapsed holds, AIC still waits for a *locally cheap*
-  // moment (Section II.B's motivation — the desirable point of time is the
-  // one with the smallest checkpoint), unless it has been waiting so long
-  // that any moment is better than more exposure.
-  std::vector<double> c3_window;
-  const std::size_t kWindow = 40;        // decisions (~seconds), > a phase cycle
-  const double kDipSlack = 1.1;          // "cheap" = within 10% of the dip
-  const double kStarvationFactor = 3.0;  // fire anyway past 3x w_L*
-  // Valley detection: the predicted cost declines while a consolidation
-  // phase runs and turns back up when the next burst starts; firing on the
-  // first upturn after a sustained decline lands within one decision
-  // period of the local minimum — even when the minimum's absolute value
-  // drifts upward over the interval (scratch accumulates).
-  double prev_c3 = -1.0;
-  int decline_streak = 0;
+  TakeRule rule(config.min_w, config.max_w);
 
   // Exponential moving average of the regression model's relative error on
   // ds, fed by the per-checkpoint measurements the paper sends back "for
@@ -275,8 +239,6 @@ ExperimentResult run_aic(workload::SpecBenchmark benchmark,
 
   while (!run.finished()) {
     const predictor::BaseMetrics metrics = run.advance();
-    bool take = false;
-    double predicted_c3 = 0.0;
     IntervalParams cur = estimate_params(metrics, config.costs);
     if (predictor.warmed_up() && model_err_ema < kModelTrustError) {
       const double c1 =
@@ -292,72 +254,35 @@ ExperimentResult run_aic(workload::SpecBenchmark benchmark,
       cur.r2 = cur.c2;
       cur.r3 = cur.c3;
     }
-    predicted_c3 = cur.c3;
-    {
-      const IntervalParams prev = run.prev_params();
-      auto objective = [&](double w) {
-        return model::net2_adaptive(config.system, w, cur, prev);
-      };
-      model::EvtDiag diag;
-      const auto best = model::extreme_value_minimum(
-          objective, config.min_w, config.max_w,
-          std::max(run.interval_elapsed(), config.min_w), &diag);
-      run.add_decision_overhead(config.costs.decision_seconds);
-      if (config.obs != nullptr) {
-        m_evals->add();
-        m_newton_iters->observe(double(diag.newton_iters));
-        m_w_star->observe(best.x);
-        if (diag.used_boundary) m_boundary->add();
-      }
-
-      c3_window.push_back(cur.c3);
-      if (c3_window.size() > kWindow)
-        c3_window.erase(c3_window.begin());
-      const double window_min =
-          *std::min_element(c3_window.begin(), c3_window.end());
-      double window_mean = 0.0;
-      for (double v : c3_window) window_mean += v;
-      window_mean /= double(c3_window.size());
-
-      const bool span_reached = best.x <= run.interval_elapsed();
-      const bool upturn =
-          decline_streak >= 3 && prev_c3 >= 0.0 && cur.c3 > prev_c3;
-      if (prev_c3 >= 0.0 && cur.c3 < prev_c3) {
-        ++decline_streak;
-      } else if (cur.c3 > prev_c3) {
-        decline_streak = 0;
-      }
-      prev_c3 = cur.c3;
-      // "Cheap moment": back at the trailing window's dip, clearly below
-      // its typical cost, or just past a local valley (upturn after a
-      // sustained decline).
-      const bool at_dip = cur.c3 <= kDipSlack * window_min ||
-                          cur.c3 <= 0.7 * window_mean || upturn;
-      const bool starved =
-          run.interval_elapsed() > kStarvationFactor * best.x;
-      take = span_reached && (at_dip || starved);
-      if (config.decision_hook) {
-        config.decision_hook(DecisionTrace{
-            run.now(), run.interval_elapsed(), best.x, cur.c3, span_reached,
-            at_dip, starved, run.core_free(), take && run.core_free()});
-      }
-      if (config.obs != nullptr) {
-        config.obs->trace.instant(
-            obs::TimeDomain::kVirtual, on::kCatDecider, on::kEvDecision,
-            run.now(), 0,
-            {{"w_star", best.x},
-             {"c3", cur.c3},
-             {"take", take && run.core_free() ? 1.0 : 0.0},
-             {"newton_iters", double(diag.newton_iters)}});
-      }
+    const TakeRule::Decision d = rule.decide(config.system, cur,
+                                             run.prev_params(),
+                                             run.interval_elapsed());
+    run.add_decision_overhead(config.costs.decision_seconds);
+    const bool take = d.take && run.core_free();
+    if (config.decision_hook) {
+      config.decision_hook(DecisionTrace{
+          run.now(), run.interval_elapsed(), d.w_star, cur.c3, d.span_reached,
+          d.at_dip, d.starved, run.core_free(), take});
     }
-    take = take && run.core_free();
+    if (config.obs != nullptr) {
+      m_evals->add();
+      m_newton_iters->observe(double(d.diag.newton_iters));
+      m_w_star->observe(d.w_star);
+      if (d.diag.used_boundary) m_boundary->add();
+      config.obs->trace.instant(
+          obs::TimeDomain::kVirtual, on::kCatDecider, on::kEvDecision,
+          run.now(), 0,
+          {{"w_star", d.w_star},
+           {"c3", cur.c3},
+           {"take", take ? 1.0 : 0.0},
+           {"newton_iters", double(d.diag.newton_iters)}});
+    }
     // No checkpoint is forced at job completion: the job is done and the
     // tail segment simply runs out.
     if (take && !run.finished()) {
       if (m_takes != nullptr) m_takes->add();
       const IntervalRecord rec = run.checkpoint(metrics);
-      run.set_last_predicted_c3(predicted_c3);
+      run.set_last_predicted_c3(cur.c3);
       if (predictor.warmed_up() && rec.delta_bytes > 0) {
         const double model_ds =
             predictor.predict(predictor::Target::kDeltaSize, metrics);

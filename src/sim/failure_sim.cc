@@ -1,15 +1,14 @@
 #include "sim/failure_sim.h"
 
 #include <algorithm>
-#include <vector>
-
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "ckpt/checkpointer.h"
 #include "common/check.h"
+#include "control/take_rule.h"
 #include "mem/snapshot.h"
-#include "model/optimizer.h"
 #include "obs/names.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -21,7 +20,7 @@ namespace {
 
 namespace on = obs::names;
 
-/// The simulator's instrumentation surface, shared by both variants.
+/// The simulator's instrumentation surface.
 /// Every method is a no-op when the run has no hub.
 class SimObs {
  public:
@@ -112,13 +111,6 @@ class SimObs {
   obs::Counter* m_replans_ = nullptr;
 };
 
-/// Per-checkpoint remote landing times on the wall clock.
-struct RemoteState {
-  std::uint64_t sequence;
-  double l2_done;
-  double l3_done;
-};
-
 /// The run's workload: the plain benchmark, or an ElasticWorkload over the
 /// same profile when resize events are configured. `*elastic` (when the
 /// out-pointer is given) aliases the returned workload or stays null.
@@ -139,72 +131,136 @@ std::unique_ptr<workload::Workload> make_sim_workload(
   return wl;
 }
 
-/// The transfer-engine variant: L2/L3 placements are real chunked drains
-/// through a MultiLevelStore, advanced in lockstep with the wall clock, so
-/// a failure interrupts whatever chunk happens to be in flight and recovery
-/// sees exactly the committed objects. Recovery provenance comes from
-/// store.recover() (it reads surviving copies, RAID reconstruction
-/// included) instead of the analytic landing-time bookkeeping.
-FailureSimResult run_failure_sim_xfer(const FailureSimConfig& config) {
-  FailureSimResult result;
+/// Where and when a checkpoint's L2/L3 copies land — the one part of the
+/// job loop that depends on FailureSimConfig::use_transfer_engine. The
+/// initial full checkpoint is staged at every level before t = 0.
+class DrainModel {
+ public:
+  DrainModel() = default;
+  DrainModel(const DrainModel&) = delete;
+  DrainModel& operator=(const DrainModel&) = delete;
+  virtual ~DrainModel() = default;
 
-  // Failure-free reference final state (determinism makes this exact).
-  mem::Snapshot reference;
-  {
-    auto wl = workload::make_spec_workload(config.benchmark,
-                                           config.workload_scale);
-    mem::AddressSpace space;
-    wl->initialize(space);
-    wl->step(space, wl->base_time());
-    reference = mem::Snapshot::capture(space);
-    result.base_time = wl->base_time();
+  /// Brings in-flight drains up to the wall clock.
+  virtual void advance(double /*wall*/) {}
+  /// "No L1 until the last L3 has finished": the checkpointing core is
+  /// free for a new capture.
+  virtual bool core_free(double wall) const = 0;
+  /// Places a just-captured checkpoint; returns the blocking halt.
+  virtual double place(const ckpt::CheckpointFile& file,
+                       const ckpt::CaptureStats& st,
+                       const control::CostModel& costs, double wall) = 0;
+  /// Mirrors the chain's latest rewind-window prune.
+  virtual void prune(const ckpt::CheckpointChain& chain) = 0;
+  /// A level-`level` failure at `wall`: rolls `chain` back to the newest
+  /// checkpoint whose surviving copy covers the failure and returns the
+  /// number of interrupted drains resumed.
+  virtual std::size_t roll_back(int level, double wall,
+                                ckpt::CheckpointChain& chain) = 0;
+  /// Seconds to read the (rolled-back) restart chain from the level that
+  /// survived.
+  virtual double read_seconds(int level, const ckpt::CheckpointChain& chain,
+                              const control::CostModel& costs) const = 0;
+  /// End of run: lets the tail drains land and reports their counters.
+  virtual void finish(FailureSimResult& /*result*/) {}
+};
+
+/// Closed form: a checkpoint's L2/L3 copies land c2 - c1 and c3 - c1
+/// after its local write, and the core stays busy until the L3 copy
+/// lands. A failure kills the in-flight transfer.
+class ClosedFormDrains final : public DrainModel {
+ public:
+  bool core_free(double wall) const override { return wall >= core_free_at_; }
+
+  double place(const ckpt::CheckpointFile& file, const ckpt::CaptureStats& st,
+               const control::CostModel& costs, double wall) override {
+    const auto p = costs.delta_params(st.uncompressed_bytes, st.file_bytes,
+                                      st.delta_work_units);
+    const double placed = wall + p.c1;
+    remote_.push_back(
+        {file.sequence, placed + (p.c2 - p.c1), placed + (p.c3 - p.c1)});
+    core_free_at_ = placed + (p.c3 - p.c1);
+    return p.c1;
   }
 
-  auto wl =
-      workload::make_spec_workload(config.benchmark, config.workload_scale);
-  mem::AddressSpace space;
-  wl->initialize(space);
-
-  SimObs obs(config.obs);
-  ckpt::CheckpointChain chain(ckpt::CheckpointChain::Config{
-      .obs = config.obs, .rewind_budget = config.rewind_budget});
-  failure::FailureInjector injector(config.failures, Rng(config.seed));
-  Rng storage_rng(config.seed ^ 0x9e3779b97f4a7c15ull);
-
-  storage::MultiLevelConfig mc;
-  mc.local_bps = config.costs.local_bps;
-  mc.raid_bps = config.costs.b2_bps;
-  mc.remote_bps = config.costs.b3_bps;
-  mc.xfer.obs = config.obs;
-  if (config.xfer_max_attempts_override > 0) {
-    mc.xfer.retry.max_attempts_per_chunk = config.xfer_max_attempts_override;
-  }
-  storage::MultiLevelStore store(mc);
-  if (config.remote_drop_probability > 0.0) {
-    store.xfer().channel(3).set_drop_probability(
-        config.remote_drop_probability, config.seed ^ 0xf11e57a7ull);
+  void prune(const ckpt::CheckpointChain& chain) override {
+    const std::uint64_t victim = chain.last_prune()->victim_sequence;
+    std::erase_if(remote_,
+                  [&](const Landing& r) { return r.sequence == victim; });
   }
 
-  double wall = 0.0;
-  double interval_start_progress = 0.0;
-  double interval_start_wall = 0.0;
+  std::size_t roll_back(int level, double wall,
+                        ckpt::CheckpointChain& chain) override {
+    // The oldest retained checkpoint (its chain starts with a staged or
+    // re-anchored full) is the fallback when nothing newer has landed.
+    std::uint64_t seq = remote_.front().sequence;
+    for (const Landing& r : remote_) {
+      const double done = level <= 2 ? r.l2_done : r.l3_done;
+      if (done <= wall && r.sequence >= seq) seq = r.sequence;
+    }
+    chain.rollback_to(seq);
+    std::erase_if(remote_, [&](const Landing& r) { return r.sequence > seq; });
+    core_free_at_ = wall;  // the in-flight transfer died with the failure
+    return 0;
+  }
 
-  // Initial full checkpoint, staged everywhere before t = 0 (drained to
-  // completion off the clock); the store's virtual clock is then pinned to
-  // the wall clock through the `sync` offset.
-  chain.capture(space, wl->cpu_state(), 0.0);
-  space.protect_all();
-  (void)store.put_checkpoint(chain.files().back());
-  const double clock0 = store.xfer().now();
-  auto sync = [&]() { store.xfer().run_until(clock0 + wall); };
+  double read_seconds(int level, const ckpt::CheckpointChain& chain,
+                      const control::CostModel& costs) const override {
+    const double bw = level <= 2 ? costs.b2_bps : costs.b3_bps;
+    return double(chain.restart_chain_bytes()) / bw;
+  }
 
-  // Mirrors a rewind-window prune at the storage layer: the victim's
-  // objects are erased at every level and a re-anchored successor's stored
-  // copy (or in-flight drain) is rewritten with the new full bytes.
-  std::uint64_t seen_discards = 0;
-  auto reclaim_pruned = [&]() {
-    if (chain.rewind().discards() == seen_discards) return;
-    seen_discards = chain.rewind().discards();
+ private:
+  /// One retained checkpoint's L2/L3 landing times on the wall clock.
+  struct Landing {
+    std::uint64_t sequence;
+    double l2_done;
+    double l3_done;
+  };
+  std::vector<Landing> remote_{{0, 0.0, 0.0}};
+  double core_free_at_ = 0.0;
+};
+
+/// Transfer engine: L2/L3 placements are real chunked drains through a
+/// MultiLevelStore, advanced in lockstep with the wall clock, so a failure
+/// interrupts whatever chunk is in flight and recovery (store.recover(),
+/// RAID reconstruction included) sees exactly the committed objects.
+class EngineDrains final : public DrainModel {
+ public:
+  EngineDrains(const FailureSimConfig& config,
+               const ckpt::CheckpointFile& initial)
+      : store_(store_config(config)),
+        rng_(config.seed ^ 0x9e3779b97f4a7c15ull) {
+    if (config.remote_drop_probability > 0.0) {
+      store_.xfer().channel(3).set_drop_probability(
+          config.remote_drop_probability, config.seed ^ 0xf11e57a7ull);
+    }
+    // Drained to completion off the clock; the store's virtual clock is
+    // then pinned to the wall clock through the offset.
+    (void)store_.put_checkpoint(initial);
+    clock0_ = store_.xfer().now();
+  }
+
+  void advance(double wall) override {
+    store_.xfer().run_until(clock0_ + wall);
+  }
+
+  bool core_free(double /*wall*/) const override {
+    return store_.unfinished_drains() == 0;
+  }
+
+  double place(const ckpt::CheckpointFile& file, const ckpt::CaptureStats& st,
+               const control::CostModel& costs, double /*wall*/) override {
+    // The local write plus the delta-compression latency; the drains
+    // overlap with computation from here on.
+    const storage::DrainTicket ticket = store_.put_checkpoint_async(file);
+    return ticket.local_seconds + costs.delta_latency(st.delta_work_units);
+  }
+
+  void prune(const ckpt::CheckpointChain& chain) override {
+    // The victim's objects are erased at every level and a re-anchored
+    // successor's stored copy (or in-flight drain) is rewritten with the
+    // new full bytes.
     const auto& ev = *chain.last_prune();
     const ckpt::CheckpointFile* reanchored = nullptr;
     if (ev.reanchored_sequence.has_value()) {
@@ -215,114 +271,66 @@ FailureSimResult run_failure_sim_xfer(const FailureSimConfig& config) {
         }
       }
     }
-    (void)store.reclaim_checkpoint(ev.victim_sequence, reanchored);
-    ++result.checkpoints_pruned;
-  };
-
-  failure::FailureEvent pending = injector.next_after(0.0);
-
-  auto handle_failure = [&](int level) {
-    ++result.failures_by_level[std::size_t(level - 1)];
-    ++result.restores;
-    const double fail_at = wall;
-    obs.failure(fail_at, level);
-    sync();  // bring every drain to the failure instant
-    store.apply_failure(level, storage_rng);
-
-    auto rec = store.recover();
-    AIC_CHECK_MSG(rec.has_value(),
-                  "level-" << level << " failure left nothing restorable");
-    const std::uint64_t seq = rec->chain.back().sequence;
-    chain.rollback_to(seq);
-    store.truncate_to(seq + 1);
-    if (!store.raid().available()) {
-      // Two RAID members gone (level-3 damage): replace the group and
-      // re-seed it from the remote copies before new drains target it.
-      store.repair_raid_group();
-      (void)store.reseed_from_remote();
-    }
-    {
-      const std::size_t resumed = store.resume_drains();
-      result.drains_resumed += int(resumed);
-      obs.drains_resumed(resumed);
-    }
-
-    auto restored = chain.restore();
-    space = restored.memory.materialize();
-    wl->restore_cpu_state(restored.cpu_state);
-    space.protect_all();
-    interval_start_progress = wl->progress();
-
-    // Recovery: the measured read time of the surviving chain; interrupted
-    // drains resume concurrently with the re-read.
-    wall += rec->read_seconds;
-    sync();
-    obs.restore(fail_at, wall, level, rec->read_seconds);
-    interval_start_wall = wall;
-  };
-
-  const double quantum = 1.0;
-  while (!wl->finished()) {
-    AIC_CHECK_MSG(wall < config.max_wall, "failure sim exceeded max_wall");
-    if (pending.time <= wall) {
-      wall = std::max(wall, pending.time);
-      handle_failure(pending.level);
-      pending = injector.next_after(std::max(pending.time, wall));
-      continue;
-    }
-    const double until_failure = pending.time - wall;
-    const double step = std::min(quantum, until_failure);
-    wl->step(space, step);
-    wall += step;
-    sync();  // drains progress while the application computes
-
-    const double elapsed = wl->progress() - interval_start_progress;
-    if (elapsed >= config.checkpoint_interval &&
-        store.unfinished_drains() == 0 && !wl->finished()) {
-      // "No L1 until the last L3 has finished": the core is free only once
-      // every queued drain has committed. A failure during the blocking
-      // local write aborts the checkpoint (nothing was captured yet).
-      const double c1_est = double(space.dirty_page_count() * kPageSize) /
-                            config.costs.local_bps;
-      if (pending.time <= wall + c1_est) {
-        wall = pending.time;
-        handle_failure(pending.level);
-        pending = injector.next_after(wall);
-        continue;
-      }
-      ckpt::CaptureStats st = chain.capture(space, wl->cpu_state(), wall);
-      ++result.checkpoints;
-      storage::DrainTicket ticket =
-          store.put_checkpoint_async(chain.files().back());
-      reclaim_pruned();
-      // Blocking halt: the local write plus the delta-compression latency
-      // (the drains themselves overlap with computation from here on).
-      wall += ticket.local_seconds +
-              config.costs.delta_latency(st.delta_work_units);
-      sync();
-      space.protect_all();
-      interval_start_progress = wl->progress();
-      obs.interval(interval_start_wall, wall, st.file_bytes);
-      interval_start_wall = wall;
-    }
+    (void)store_.reclaim_checkpoint(ev.victim_sequence, reanchored);
   }
 
-  // Let the tail drains land so the committed story is complete.
-  store.xfer().run_until_idle();
-  result.xfer_stats = store.xfer().stats();
-  result.turnaround = wall;
-  result.final_checkpoint_interval = config.checkpoint_interval;
-  result.final_state_verified = reference.equals_space(space);
-  obs.finish(result);
-  return result;
-}
+  std::size_t roll_back(int level, double wall,
+                        ckpt::CheckpointChain& chain) override {
+    advance(wall);  // bring every drain to the failure instant
+    store_.apply_failure(level, rng_);
+    auto rec = store_.recover();
+    AIC_CHECK_MSG(rec.has_value(),
+                  "level-" << level << " failure left nothing restorable");
+    read_seconds_ = rec->read_seconds;
+    const std::uint64_t seq = rec->chain.back().sequence;
+    chain.rollback_to(seq);
+    store_.truncate_to(seq + 1);
+    if (!store_.raid().available()) {
+      // Two RAID members gone (level-3 damage): replace the group and
+      // re-seed it from the remote copies before new drains target it.
+      store_.repair_raid_group();
+      (void)store_.reseed_from_remote();
+    }
+    return store_.resume_drains();
+  }
 
-/// The analytic variant: L2/L3 placements land after the c2/c3 formula
-/// durations (no drain engine). Hosts the elastic-job machinery: on every
-/// resize (and every rollback that reverts one) the cost model, failure
-/// exposure, and — with replan_on_resize — the work span w_L* are
-/// re-derived from the new width.
-FailureSimResult run_failure_sim_analytic(const FailureSimConfig& config) {
+  /// The measured read time of the surviving chain; interrupted drains
+  /// resume concurrently with the re-read.
+  double read_seconds(int /*level*/, const ckpt::CheckpointChain& /*chain*/,
+                      const control::CostModel& /*costs*/) const override {
+    return read_seconds_;
+  }
+
+  void finish(FailureSimResult& result) override {
+    store_.xfer().run_until_idle();
+    result.xfer_stats = store_.xfer().stats();
+  }
+
+ private:
+  static storage::MultiLevelConfig store_config(const FailureSimConfig& c) {
+    storage::MultiLevelConfig mc;
+    mc.local_bps = c.costs.local_bps;
+    mc.raid_bps = c.costs.b2_bps;
+    mc.remote_bps = c.costs.b3_bps;
+    mc.xfer.obs = c.obs;
+    if (c.xfer_max_attempts_override > 0) {
+      mc.xfer.retry.max_attempts_per_chunk = c.xfer_max_attempts_override;
+    }
+    return mc;
+  }
+
+  storage::MultiLevelStore store_;
+  Rng rng_;
+  double clock0_ = 0.0;
+  double read_seconds_ = 0.0;
+};
+
+/// The job loop: work in quanta, checkpoint every `interval` of progress
+/// once the core is free, fail at the injector's instants, roll back to the
+/// newest surviving checkpoint and replay. On every resize (and every
+/// rollback that reverts one) the cost model, failure exposure, and — with
+/// replan_on_resize — the work span w_L* are re-derived from the new width.
+FailureSimResult run_job(const FailureSimConfig& config) {
   FailureSimResult result;
 
   // Failure-free reference final state (determinism makes this exact).
@@ -347,10 +355,19 @@ FailureSimResult run_failure_sim_analytic(const FailureSimConfig& config) {
       .obs = config.obs, .rewind_budget = config.rewind_budget});
   failure::FailureInjector injector(config.failures, Rng(config.seed));
 
+  // Initial full checkpoint, staged everywhere before t = 0.
+  chain.capture(space, wl->cpu_state(), 0.0);
+  space.protect_all();
+  std::unique_ptr<DrainModel> drains;
+  if (config.use_transfer_engine) {
+    drains = std::make_unique<EngineDrains>(config, chain.files().back());
+  } else {
+    drains = std::make_unique<ClosedFormDrains>();
+  }
+
   double wall = 0.0;
   double interval_start_progress = 0.0;
   double interval_start_wall = 0.0;
-  std::vector<RemoteState> remote;
 
   // Width-dependent state, re-derived at every reconfiguration: the cost
   // model (per-node resources scale with the allocation; the per-node
@@ -364,16 +381,10 @@ FailureSimResult run_failure_sim_analytic(const FailureSimConfig& config) {
   std::uint64_t width_epoch = 0;
   std::uint64_t seen_discards = 0;
 
-  // Initial full checkpoint, staged everywhere before t = 0.
-  chain.capture(space, wl->cpu_state(), 0.0);
-  space.protect_all();
-  remote.push_back({0, 0.0, 0.0});
-  double core_free_at = 0.0;
-
   failure::FailureEvent pending = injector.next_after(0.0);
 
-  // AIC re-plan: minimize the adaptive interval model's NET^2 in the work
-  // span, parameterized by the last capture's measured artifacts under the
+  // AIC re-plan: the decider's w_L* on the adaptive interval model,
+  // parameterized by the last capture's measured artifacts under the
   // *current* cost model (or the raw footprint before any incremental).
   auto replan = [&]() {
     const model::IntervalParams prev =
@@ -388,9 +399,8 @@ FailureSimResult run_failure_sim_analytic(const FailureSimConfig& config) {
     sys.r = {prev.r1, prev.r2, prev.r3};
     const double lo = std::max(1.0, prev.c1);
     const double hi = std::max(lo * 2.0, wl->base_time());
-    const auto opt = model::extreme_value_minimum(
-        [&](double w) { return model::net2_adaptive(sys, w, prev, prev); },
-        lo, hi, std::clamp(interval, lo, hi));
+    const auto opt = control::optimal_span(sys, prev, prev, lo, hi,
+                                           std::clamp(interval, lo, hi));
     interval = std::max(1.0, opt.x);
     ++result.replans;
     obs.replan(wall, interval);
@@ -424,54 +434,29 @@ FailureSimResult run_failure_sim_analytic(const FailureSimConfig& config) {
     if (config.replan_on_resize) replan();
   };
 
-  // Drops a checkpoint the rewind window just pruned from the landing-time
-  // bookkeeping (it no longer exists at any level).
-  auto drop_pruned = [&]() {
-    if (chain.rewind().discards() == seen_discards) return;
-    seen_discards = chain.rewind().discards();
-    const std::uint64_t victim = chain.last_prune()->victim_sequence;
-    remote.erase(std::remove_if(remote.begin(), remote.end(),
-                                [&](const RemoteState& r) {
-                                  return r.sequence == victim;
-                                }),
-                 remote.end());
-    ++result.checkpoints_pruned;
-  };
-
   auto handle_failure = [&](int level) {
     ++result.failures_by_level[std::size_t(level - 1)];
     ++result.restores;
     const double fail_at = wall;
     obs.failure(fail_at, level);
-    // Newest retained checkpoint whose surviving copy covers this failure
-    // level; the oldest retained one (its chain starts with a staged or
-    // re-anchored full) is the fallback when nothing newer has landed.
-    std::uint64_t seq = remote.front().sequence;
-    for (const RemoteState& r : remote) {
-      const double done = level <= 2 ? r.l2_done : r.l3_done;
-      if (done <= wall && r.sequence >= seq) seq = r.sequence;
-    }
-    chain.rollback_to(seq);
-    remote.erase(std::remove_if(remote.begin(), remote.end(),
-                                [&](const RemoteState& r) {
-                                  return r.sequence > seq;
-                                }),
-                 remote.end());
+    const std::size_t resumed = drains->roll_back(level, wall, chain);
+    result.drains_resumed += int(resumed);
+    obs.drains_resumed(resumed);
+
     auto restored = chain.restore();
     space = restored.memory.materialize();
     wl->restore_cpu_state(restored.cpu_state);
     space.protect_all();
     interval_start_progress = wl->progress();
-    core_free_at = wall;  // in-flight transfer died with the failure
     // A rollback can land before a resize boundary: the job restarts at
     // the narrower width, so re-derive everything from it.
     check_width();
 
-    // Recovery: read the restart chain from the surviving level.
-    const double bw = level <= 2 ? costs.b2_bps : costs.b3_bps;
-    const double recovery = double(chain.restart_chain_bytes()) / bw;
-    wall += recovery;
-    obs.restore(fail_at, wall, level, recovery);
+    // Recovery: read the restart chain back from the surviving level.
+    const double read = drains->read_seconds(level, chain, costs);
+    wall += read;
+    drains->advance(wall);
+    obs.restore(fail_at, wall, level, read);
     interval_start_wall = wall;
     // Failures can strike during recovery as well; the pending event keeps
     // ticking on the wall clock and is handled by the main loop.
@@ -485,18 +470,20 @@ FailureSimResult run_failure_sim_analytic(const FailureSimConfig& config) {
       pending = injector.next_after(std::max(pending.time, wall));
       continue;
     }
-    // Advance work until the next failure, checkpoint moment, or finish.
+    // Advance work until the next failure, checkpoint moment, or finish;
+    // drains progress while the application computes.
     const double until_failure = pending.time - wall;
     const double step = std::min(quantum, until_failure);
     wl->step(space, step);
     wall += step;
+    drains->advance(wall);
     check_width();
 
     const double elapsed = wl->progress() - interval_start_progress;
-    if (elapsed >= interval && wall >= core_free_at && !wl->finished()) {
+    if (elapsed >= interval && drains->core_free(wall) && !wl->finished()) {
       // The local write halts the process; a failure during the halt aborts
-      // the checkpoint (nothing was captured yet).
-      // Estimate c1 from the dirty set before committing.
+      // the checkpoint (nothing was captured yet). Estimate c1 from the
+      // dirty set before committing.
       const double c1_est = double(space.dirty_page_count() * kPageSize) /
                             costs.local_bps;
       if (pending.time <= wall + c1_est) {
@@ -508,14 +495,13 @@ FailureSimResult run_failure_sim_analytic(const FailureSimConfig& config) {
       ckpt::CaptureStats st = chain.capture(space, wl->cpu_state(), wall);
       last_st = st;
       ++result.checkpoints;
-      drop_pruned();
-      const auto params = costs.delta_params(
-          st.uncompressed_bytes, st.file_bytes, st.delta_work_units);
-      wall += params.c1;
-      remote.push_back({chain.checkpoints_taken() - 1,
-                        wall + (params.c2 - params.c1),
-                        wall + (params.c3 - params.c1)});
-      core_free_at = wall + (params.c3 - params.c1);
+      wall += drains->place(chain.files().back(), st, costs, wall);
+      if (chain.rewind().discards() != seen_discards) {
+        seen_discards = chain.rewind().discards();
+        drains->prune(chain);
+        ++result.checkpoints_pruned;
+      }
+      drains->advance(wall);
       space.protect_all();
       interval_start_progress = wl->progress();
       obs.interval(interval_start_wall, wall, st.file_bytes);
@@ -523,6 +509,7 @@ FailureSimResult run_failure_sim_analytic(const FailureSimConfig& config) {
     }
   }
 
+  drains->finish(result);
   result.turnaround = wall;
   result.final_checkpoint_interval = interval;
   result.final_state_verified = reference.equals_space(space);
@@ -535,10 +522,9 @@ FailureSimResult run_failure_sim_analytic(const FailureSimConfig& config) {
 FailureSimResult run_failure_sim(const FailureSimConfig& config) {
   AIC_CHECK(config.checkpoint_interval > 0.0);
   AIC_CHECK_MSG(config.resizes.empty() || !config.use_transfer_engine,
-                "elastic resizes require the analytic simulator variant");
+                "elastic resizes require the closed-form drain model");
   try {
-    return config.use_transfer_engine ? run_failure_sim_xfer(config)
-                                      : run_failure_sim_analytic(config);
+    return run_job(config);
   } catch (const CheckError& e) {
     // A dying run leaves its flight recording behind (no-op unless the hub
     // enabled one); the typed error still propagates unchanged.

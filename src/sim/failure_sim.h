@@ -7,6 +7,11 @@
 // L3 for f3, accounting for in-flight transfers), materialize the restored
 // address space, rewind the workload, and replay.
 //
+// One job loop — work, decide, capture, drain, fail and roll back — runs
+// every configuration. The only part that varies is the drain model, which
+// decides where and when a checkpoint's L2/L3 copies land (see
+// FailureSimConfig::use_transfer_engine).
+//
 // Because workload mutations are a pure function of progress, the final
 // memory state after any number of failures and recoveries must equal the
 // failure-free run's final state byte for byte — the strongest correctness
@@ -35,19 +40,34 @@ struct FailureSimConfig {
   double workload_scale = 0.25;
   control::CostModel costs;
   failure::FailureSpec failures;
-  /// Static checkpoint interval (SIC-style; the point here is recovery
-  /// correctness and model validation, not adaptivity).
+  /// Work span between checkpoints (progress seconds). It stays fixed
+  /// unless resizes are configured with replan_on_resize, in which case
+  /// every reconfiguration re-plans it to the AIC decider's w_L*.
   double checkpoint_interval = 30.0;
   std::uint64_t seed = 1;
   /// Abort guard: give up if the wall clock exceeds this.
   double max_wall = 1e7;
-  /// Run the L2/L3 placements through a real MultiLevelStore drain engine
-  /// (chunked transfers in virtual time) instead of the analytic
-  /// c2/c3 landing-time formulas. Failures then strike *during* drains:
-  /// in-flight transfers are interrupted at a chunk boundary, recovery
-  /// sees only committed objects, and interrupted drains resume from the
-  /// last acked chunk after the restart — the Markov model's
-  /// interrupted-transfer states, exercised end to end.
+  /// Selects the drain model. The drain model answers five questions for
+  /// the job loop: is the core free to capture, what does placing a
+  /// capture halt, which checkpoint survives a level-k failure and what
+  /// does reading it back cost, what happens after a rollback or a
+  /// rewind-window prune, and what is recorded when the run ends.
+  ///
+  /// false — closed form: a capture halts for c1; its L2/L3 copies land
+  /// c2 - c1 and c3 - c1 later (per-checkpoint landing times), and the
+  /// core is busy until the L3 copy lands. A failure recovers the newest
+  /// copy landed at the failed level and reads the restart chain at b2/b3.
+  ///
+  /// true — transfer engine: the placements run through a real
+  /// MultiLevelStore drain engine (chunked transfers in virtual time); a
+  /// capture halts for the local write plus the delta latency and the core
+  /// is free once every drain has committed. Failures then strike *during*
+  /// drains: in-flight transfers are interrupted at a chunk boundary,
+  /// recovery sees only committed objects (read time as measured by
+  /// store.recover()), and interrupted drains resume from the last acked
+  /// chunk after the restart — the Markov model's interrupted-transfer
+  /// states, exercised end to end. xfer_stats reports the engine's
+  /// counters.
   bool use_transfer_engine = false;
   /// Optional observability hub: failure/restore instants, interval spans,
   /// end-of-run gauges, plus (with use_transfer_engine) every chunk span
@@ -68,8 +88,8 @@ struct FailureSimConfig {
   /// (local/compress/RAID bandwidth scale with the width, the per-node
   /// remote share does not), rescales the failure exposure (lambda ∝
   /// cores), and — with replan_on_resize — re-solves the AIC work span
-  /// w_L* on the adaptive interval model. Analytic variant only: requires
-  /// use_transfer_engine == false.
+  /// w_L* on the adaptive interval model. Closed-form drain model only:
+  /// requires use_transfer_engine == false.
   std::vector<workload::ResizeEvent> resizes;
   /// Core allocation the benchmark's profile is calibrated at.
   std::uint64_t base_cores = 4;
@@ -81,8 +101,8 @@ struct FailureSimConfig {
   bool replan_on_resize = true;
   /// Bounded-regret retention: live-checkpoint budget of the chain's
   /// RewindWindow (0 = keep every checkpoint). Pruned checkpoints are
-  /// reclaimed from the MultiLevelStore in the transfer-engine variant and
-  /// dropped from the landing-time bookkeeping in the analytic one.
+  /// reclaimed from the MultiLevelStore by the transfer engine and dropped
+  /// from the landing times by the closed form.
   std::size_t rewind_budget = 0;
 };
 
