@@ -3,7 +3,12 @@
 // reconstruction path and reseeding after catastrophic loss.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "ckpt/checkpointer.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "mem/snapshot.h"
 #include "storage/multilevel_store.h"
@@ -155,6 +160,69 @@ TEST(MultiLevelStore, PartialLocalChainFallsBackDeeper) {
       << "local holds only an incremental without its full ancestor";
   EXPECT_TRUE(mem::Snapshot::capture(space).equals_space(
       restore_from(*rec).materialize()));
+}
+
+// ---------- pricing ----------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// The store prices the blocking local write and every recovered file at
+// the config's level bandwidth (c_k = bytes / B_k, r_k = c_k). Pinned as
+// IEEE-754 bits for a seeded 4-checkpoint chain, so a pricing change that
+// moves any duration by one ulp fails here.
+TEST(MultiLevelStore, PricingIsPinnedBitExact) {
+  MultiLevelStore store;
+  Rng rng(11);
+  mem::AddressSpace space;
+  space.allocate_range(0, 32);
+  for (mem::PageId id = 0; id < 32; ++id) {
+    space.mutate(id, [&](std::span<std::uint8_t> b) {
+      for (auto& x : b) x = std::uint8_t(rng());
+    });
+  }
+  ckpt::CheckpointChain chain;
+  std::vector<std::uint64_t> local;
+  for (int i = 0; i < 4; ++i) {
+    if (i > 0) {
+      Bytes edit(std::size_t(300 * i));  // a distinct file size per capture
+      for (auto& x : edit) x = std::uint8_t(rng());
+      space.write(rng.uniform_u64(32),
+                  rng.uniform_u64(kPageSize - edit.size()), edit);
+    }
+    chain.capture(space, {}, double(i));
+    local.push_back(bits(store.put_checkpoint(chain.files().back()).local));
+    space.protect_all();
+  }
+  EXPECT_EQ(local, (std::vector<std::uint64_t>{
+                       0x3f557c1320ef0deaULL, 0x3ecd1bc4ac97ce12ULL,
+                       0x3edb231c0ed45933ULL, 0x3ee3dc2ae3ae65afULL}));
+
+  std::vector<std::uint64_t> read;
+  auto recovered_from = [&](int level) {
+    const auto rec = store.recover();
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->level_used, level);
+    EXPECT_EQ(rec->chain.size(), 4u);
+    read.push_back(bits(rec->read_seconds));
+  };
+  recovered_from(1);
+  store.apply_failure(2, rng);
+  recovered_from(2);
+  store.apply_failure(3, rng);
+  recovered_from(3);
+  EXPECT_EQ(read, (std::vector<std::uint64_t>{0x3f55cd7c751b8af6ULL,
+                                              0x3f35cd7c751b8af6ULL,
+                                              0x3fb108893b7d8490ULL}));
+}
+
+TEST(MultiLevelStore, NonPositiveLevelBandwidthIsRejectedAtConstruction) {
+  for (double MultiLevelConfig::*bps :
+       {&MultiLevelConfig::local_bps, &MultiLevelConfig::raid_bps,
+        &MultiLevelConfig::remote_bps}) {
+    MultiLevelConfig config;
+    config.*bps = 0.0;
+    EXPECT_THROW(MultiLevelStore{config}, CheckError);
+  }
 }
 
 // ---------- rewind-window reclamation ----------
