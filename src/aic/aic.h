@@ -66,12 +66,12 @@
 #include "sim/chain_sim.h"
 #include "sim/failure_sim.h"
 #include "storage/multilevel_store.h"
+#include "storage/staged_sink.h"
 #include "storage/storage.h"
 #include "trace/lanl_trace.h"
 #include "verify/chain_verifier.h"
 #include "workload/workload.h"
 #include "xfer/channel.h"
 #include "xfer/scheduler.h"
-#include "xfer/staged_sink.h"
 #include "xfer/stats.h"
 #include "xfer/transfer.h"

@@ -154,12 +154,10 @@ void AsyncCheckpointer::process_job(Job& job, obs::Hub* hub) {
   const std::uint64_t t0 = obs::wall_now_ns();
   const double c0 = hub ? hub->trace.wall_seconds() : 0.0;
   CaptureStats stats;
-  CheckpointFile file;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stats = chain_.capture_pages(job.pages, job.live, job.cpu_state,
                                  job.app_time);
-    if (config_.store != nullptr) file = chain_.files().back();
   }
   AsyncResult result;
   result.sequence = job.sequence;
@@ -174,39 +172,23 @@ void AsyncCheckpointer::process_job(Job& job, obs::Hub* hub) {
                      {"file_bytes", double(stats.file_bytes)}});
     m_compress_s_->observe(c1 - c0);
   }
-  if (config_.on_complete) config_.on_complete(result);
-  if (config_.store != nullptr) {
-    // The "remote checkpointer" half of the core: drain the file to L2/L3
-    // through the store's transfer engine. Runs outside the lock so the
-    // application thread can keep submitting while chunks are in flight.
-    const double v0 = config_.store->xfer().now();
-    result.placement = config_.store->put_checkpoint(file);
-    result.landed = true;
-    if (hub != nullptr) {
-      hub->trace.span(obs::TimeDomain::kVirtual, on::kCatCkpt, on::kEvLand,
-                      v0, config_.store->xfer().now(), 0,
-                      {{"seq", double(job.sequence)},
-                       {"raid_s", result.placement.raid},
-                       {"remote_s", result.placement.remote}});
-    }
-    if (config_.on_landed) config_.on_landed(result);
-  }
+  // Outside the lock, so the application thread keeps submitting while a
+  // callback ships the file. Only this thread appends to the chain, so the
+  // reference stays valid until the callback returns.
+  if (config_.on_complete) config_.on_complete(result, chain_.files().back());
   if (hub != nullptr) {
     if (obs::Telemetry* tel = hub->telemetry()) {
-      // One causal chain per checkpoint. Capture and compress are wall
-      // seconds, the drain is virtual seconds — mixed clock domains, so
-      // the total is the segment sum (close_total), not a timestamp delta.
+      // One causal chain per checkpoint. Capture (the submit step) and
+      // compress are measured apart, so the total is the segment sum
+      // (close_total), not a timestamp delta. Drains close their own
+      // chains in the transfer engine.
       obs::CausalLog& log = tel->causal();
       const double compress_s = double(result.compress_ns) * 1e-9;
-      const double drain_s =
-          result.landed ? result.placement.raid + result.placement.remote
-                        : 0.0;
       const std::uint64_t cid =
           log.open("seq" + std::to_string(job.sequence), 0, job.app_time);
       log.add(cid, obs::CausalSegment::kCapture, job.capture_s);
       log.add(cid, obs::CausalSegment::kCompress, compress_s);
-      log.add(cid, obs::CausalSegment::kInFlight, drain_s);
-      log.close_total(cid, job.capture_s + compress_s + drain_s, false);
+      log.close_total(cid, job.capture_s + compress_s, false);
     }
   }
 }

@@ -9,7 +9,8 @@
 //      dirty pages and CPU state, clears dirty tracking, enqueues the job.
 //   2. (checkpointing core) the worker delta-compresses the job against the
 //      accumulated previous state, appends the file to the chain, and
-//      invokes the completion callback with the capture accounting.
+//      invokes the completion callback with the capture accounting and the
+//      new file — where a caller ships it to L2/L3 (MultiLevelStore).
 //
 // The application thread never touches pages the worker is reading: the
 // submit step's Snapshot::capture of the dirty pages is the ONE data copy
@@ -37,15 +38,11 @@
 #include "ckpt/checkpointer.h"
 #include "mem/address_space.h"
 #include "mem/snapshot.h"
-#include "storage/multilevel_store.h"
 
 namespace aic::ckpt {
 
-/// Completion notice for one asynchronous checkpoint. A checkpoint has two
-/// observable milestones on the checkpointing core: "compressed" (the delta
-/// landed in the chain — on_complete) and, when a store is attached,
-/// "landed" (the L2/L3 drains committed — on_landed, with the drain
-/// durations in `placement`).
+/// Completion notice for one asynchronous checkpoint: its one milestone on
+/// the checkpointing core is "compressed" (the delta landed in the chain).
 struct AsyncResult {
   std::uint64_t sequence = 0;
   double app_time = 0.0;
@@ -53,29 +50,20 @@ struct AsyncResult {
   /// Wall-clock nanoseconds the worker spent compressing (real, host-
   /// dependent; the simulation layer uses deterministic work units).
   std::uint64_t compress_ns = 0;
-  /// False in on_complete notifications (compressed only), true in
-  /// on_landed notifications (drains committed at L2/L3).
-  bool landed = false;
-  /// Virtual-time placement durations; meaningful only when landed.
-  storage::PlacementTimes placement;
 };
 
 class AsyncCheckpointer {
  public:
-  using Completion = std::function<void(const AsyncResult&)>;
+  /// The file is the one just appended to the chain; the reference is
+  /// valid only for the duration of the call (copy it to keep it).
+  using Completion =
+      std::function<void(const AsyncResult&, const CheckpointFile&)>;
 
   struct Config {
     CheckpointChain::Config chain;
     /// Invoked on the worker thread after each checkpoint is compressed
     /// into the chain (the paper's "delta compressor done" milestone).
     Completion on_complete;
-    /// Optional multi-level store: after compressing, the worker drains
-    /// the new checkpoint file to L2/L3 through the store's transfer
-    /// engine (virtual time, run to commit). Only the worker thread may
-    /// touch the store while the AsyncCheckpointer is alive.
-    storage::MultiLevelStore* store = nullptr;
-    /// Invoked on the worker thread after the drains commit (landed=true).
-    Completion on_landed;
   };
 
   explicit AsyncCheckpointer(Config config);

@@ -25,9 +25,9 @@
 //
 // The producers are TransferScheduler (drain segments, closes the chain at
 // commit/abort), FleetScheduler (opens per capture, adds capture +
-// admission-queue), and AsyncCheckpointer (capture/compress wall seconds +
-// drain; a chain may mix wall and virtual seconds — totals come from the
-// closer, not from subtracting clocks). The CausalLog keeps a bounded ring
+// admission-queue), and AsyncCheckpointer (capture/compress wall seconds,
+// measured apart — totals come from the closer, not from subtracting
+// clocks). The CausalLog keeps a bounded ring
 // of recently closed chains plus the top-k slowest, so a 10k-job run
 // retains the interesting tail in O(k) memory.
 #pragma once

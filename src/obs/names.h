@@ -179,7 +179,6 @@ inline constexpr const char* kCatSlo = "slo";
 inline constexpr const char* kEvInterval = "interval";   // ckpt, span
 inline constexpr const char* kEvCapture = "capture";     // ckpt, span (wall)
 inline constexpr const char* kEvCompress = "compress";   // ckpt, span (wall)
-inline constexpr const char* kEvLand = "land";           // ckpt, span
 inline constexpr const char* kEvShard = "shard";         // delta, span (wall)
 inline constexpr const char* kEvChunk = "chunk";         // xfer, span
 inline constexpr const char* kEvBackoff = "backoff";     // xfer, span

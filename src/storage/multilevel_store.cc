@@ -8,12 +8,14 @@ namespace aic::storage {
 
 MultiLevelStore::MultiLevelStore(MultiLevelConfig config)
     : config_(config),
-      local_(config.local_bps),
-      raid_(config.raid_nodes, config.raid_bps),
-      remote_(config.remote_bps),
+      raid_(config.raid_nodes),
       raid_sink_(raid_),
       remote_sink_(remote_),
       xfer_(config.xfer) {
+  for (const double bps : {config.local_bps, config.raid_bps,
+                           config.remote_bps}) {
+    AIC_CHECK_MSG(bps > 0.0, "level bandwidth must be positive, got " << bps);
+  }
   xfer_.add_level(2, {config.raid_bps, config.raid_latency_s}, &raid_sink_);
   xfer_.add_level(3, {config.remote_bps, config.remote_latency_s},
                   &remote_sink_);
@@ -25,7 +27,10 @@ DrainTicket MultiLevelStore::put_checkpoint_async(
   const std::string key = key_for(next_index_);
   DrainTicket ticket;
   ticket.index = next_index_;
-  ticket.local_seconds = local_.available() ? local_.put(key, wire) : 0.0;
+  if (local_.available()) {
+    ticket.local_seconds = transfer_seconds(wire.size(), config_.local_bps);
+    local_.put(key, wire);
+  }
   if (raid_.available()) ticket.raid = xfer_.submit(2, key, wire);
   ticket.remote = xfer_.submit(3, key, std::move(wire));
   is_full_[next_index_] = file.kind == ckpt::CheckpointKind::kFull;
@@ -184,12 +189,11 @@ std::uint64_t MultiLevelStore::reclaim_checkpoint(
 void MultiLevelStore::repair_raid_group() {
   // Replacement members join empty; re-striping happens via
   // reseed_from_remote().
-  raid_ = Raid5Group(config_.raid_nodes, config_.raid_bps);
-  for (std::uint64_t i = 0; i < next_index_; ++i) raid_.erase(key_for(i));
+  raid_ = Raid5Group(config_.raid_nodes);
 }
 
 std::optional<MultiLevelStore::Recovery> MultiLevelStore::recover_from(
-    const StorageTarget& target, int level) const {
+    const StorageTarget& target, double bandwidth_bps, int level) const {
   if (!target.available() || next_index_ == 0) return std::nullopt;
   // Walk from the newest checkpoint backwards to its chain-starting full,
   // requiring every file on the way to be readable from this target.
@@ -200,7 +204,7 @@ std::optional<MultiLevelStore::Recovery> MultiLevelStore::recover_from(
     for (std::uint64_t i = newest + 1; i-- > 0;) {
       auto bytes = target.get(key_for(i));
       if (!bytes.has_value()) break;  // hole: try an older newest
-      read_seconds += target.read_seconds(key_for(i));
+      read_seconds += transfer_seconds(bytes->size(), bandwidth_bps);
       chain.push_back(ckpt::CheckpointFile::parse(*bytes));
       if (is_full_.at(i)) {
         complete = true;
@@ -215,9 +219,9 @@ std::optional<MultiLevelStore::Recovery> MultiLevelStore::recover_from(
 }
 
 std::optional<MultiLevelStore::Recovery> MultiLevelStore::recover() const {
-  if (auto r = recover_from(local_, 1)) return r;
-  if (auto r = recover_from(raid_, 2)) return r;
-  return recover_from(remote_, 3);
+  if (auto r = recover_from(local_, config_.local_bps, 1)) return r;
+  if (auto r = recover_from(raid_, config_.raid_bps, 2)) return r;
+  return recover_from(remote_, config_.remote_bps, 3);
 }
 
 bool MultiLevelStore::remote_drain_unfinished(std::uint64_t index) const {

@@ -12,8 +12,10 @@
 // mid-flight, and resumable from the last acked chunk. put_checkpoint()
 // runs the drains to completion in virtual time (the original synchronous
 // contract); put_checkpoint_async() only queues them, so a caller driving
-// the clock (failure simulator, AsyncCheckpointer) can interleave failures
-// with a drain at any chunk boundary.
+// the clock (the failure simulator) can interleave failures with a drain
+// at any chunk boundary. The store prices what the transfer engine does
+// not: the blocking L1 write and every recovered file, each at its level's
+// configured bandwidth (the targets themselves only keep bytes).
 //
 // recover() answers "what is the newest restorable chain after a level-k
 // failure", actually reading the surviving copies — including the RAID-5
@@ -31,12 +33,15 @@
 
 #include "ckpt/checkpoint_file.h"
 #include "common/rng.h"
+#include "storage/staged_sink.h"
 #include "storage/storage.h"
 #include "xfer/scheduler.h"
-#include "xfer/staged_sink.h"
 
 namespace aic::storage {
 
+/// Level bandwidths (bytes/second) price every duration the store reports:
+/// the blocking L1 write, the L2/L3 drains (chunk by chunk, through the
+/// transfer engine) and recovery reads (r_k = c_k).
 struct MultiLevelConfig {
   double local_bps = 100.0e6;
   double raid_bps = 400.0e6;    // per-node share of the group bandwidth
@@ -68,6 +73,7 @@ struct DrainTicket {
 
 class MultiLevelStore {
  public:
+  /// Throws CheckError for a non-positive level bandwidth.
   explicit MultiLevelStore(MultiLevelConfig config = MultiLevelConfig{});
 
   /// Blocking local write plus L2/L3 drains run to completion in virtual
@@ -147,10 +153,8 @@ class MultiLevelStore {
   xfer::TransferScheduler& xfer() { return xfer_; }
   const xfer::TransferScheduler& xfer() const { return xfer_; }
   /// Staged (in-progress) partials per level, for diagnostics and tests.
-  const xfer::StagedTargetSink& raid_staging() const { return raid_sink_; }
-  const xfer::StagedTargetSink& remote_staging() const {
-    return remote_sink_;
-  }
+  const StagedTargetSink& raid_staging() const { return raid_sink_; }
+  const StagedTargetSink& remote_staging() const { return remote_sink_; }
 
   std::uint64_t checkpoints_stored() const { return next_index_; }
 
@@ -159,9 +163,10 @@ class MultiLevelStore {
     return "ckpt-" + std::to_string(index);
   }
   /// Newest index such that keys [start-of-chain .. index] are all present
-  /// on `target`, where start-of-chain is the newest full checkpoint.
+  /// on `target`, where start-of-chain is the newest full checkpoint. Each
+  /// file read is priced at `bandwidth_bps` (r_k = c_k).
   std::optional<Recovery> recover_from(const StorageTarget& target,
-                                       int level) const;
+                                       double bandwidth_bps, int level) const;
   /// True while `index`'s remote drain has not committed (still live,
   /// interrupted, or aborted) — i.e. the remote copy is legitimately
   /// absent.
@@ -171,8 +176,8 @@ class MultiLevelStore {
   LocalDisk local_;
   Raid5Group raid_;
   RemoteStore remote_;
-  xfer::StagedTargetSink raid_sink_;
-  xfer::StagedTargetSink remote_sink_;
+  StagedTargetSink raid_sink_;
+  StagedTargetSink remote_sink_;
   xfer::TransferScheduler xfer_;
   std::uint64_t next_index_ = 0;
   /// index -> is this a full checkpoint (chain boundaries).

@@ -19,16 +19,9 @@ double transfer_seconds(std::uint64_t bytes, double bandwidth_bps,
 
 // ---------- LocalDisk ----------
 
-LocalDisk::LocalDisk(double bandwidth_bps, double latency_s)
-    : bandwidth_(bandwidth_bps), latency_(latency_s) {
-  AIC_CHECK(bandwidth_bps > 0.0);
-}
-
-double LocalDisk::put(const std::string& key, Bytes data) {
+void LocalDisk::put(const std::string& key, Bytes data) {
   AIC_CHECK_MSG(!failed_, "write to failed local disk");
-  const double t = transfer_seconds(data.size(), bandwidth_, latency_);
   objects_[key] = std::move(data);
-  return t;
 }
 
 std::optional<Bytes> LocalDisk::get(const std::string& key) const {
@@ -36,13 +29,6 @@ std::optional<Bytes> LocalDisk::get(const std::string& key) const {
   auto it = objects_.find(key);
   if (it == objects_.end()) return std::nullopt;
   return it->second;
-}
-
-double LocalDisk::read_seconds(const std::string& key) const {
-  auto it = objects_.find(key);
-  AIC_CHECK_MSG(!failed_ && it != objects_.end(),
-                "read_seconds on missing object " << key);
-  return transfer_seconds(it->second.size(), bandwidth_, latency_);
 }
 
 bool LocalDisk::erase(const std::string& key) {
@@ -62,15 +48,9 @@ void LocalDisk::replace() {
 
 // ---------- Raid5Group ----------
 
-Raid5Group::Raid5Group(std::size_t nodes, double bandwidth_bps,
-                       std::size_t stripe_unit, double latency_s)
-    : stripe_unit_(stripe_unit),
-      bandwidth_(bandwidth_bps),
-      latency_(latency_s),
-      node_failed_(nodes, false),
-      shares_(nodes) {
+Raid5Group::Raid5Group(std::size_t nodes, std::size_t stripe_unit)
+    : stripe_unit_(stripe_unit), node_failed_(nodes, false), shares_(nodes) {
   AIC_CHECK_MSG(nodes >= 3, "RAID-5 needs at least 3 members");
-  AIC_CHECK(bandwidth_bps > 0.0);
   AIC_CHECK(stripe_unit >= 1);
 }
 
@@ -84,19 +64,13 @@ std::size_t Raid5Group::parity_node(std::uint64_t stripe) const {
   return (n - 1) - std::size_t(stripe % n);
 }
 
-double Raid5Group::put(const std::string& key, Bytes data) {
+void Raid5Group::put(const std::string& key, Bytes data) {
   AIC_CHECK_MSG(available(), "write to degraded-beyond-repair RAID group");
   const std::size_t n = shares_.size();
   const std::size_t data_units = n - 1;
   const std::size_t stripe_bytes = stripe_unit_ * data_units;
   const std::uint64_t stripes =
       data.empty() ? 0 : (data.size() + stripe_bytes - 1) / stripe_bytes;
-
-  // The write time covers data + parity at the aggregate group bandwidth.
-  const std::uint64_t written =
-      stripes * stripe_unit_ * n;  // includes parity + padding
-  const double t = transfer_seconds(std::max<std::uint64_t>(written, 1),
-                                    bandwidth_, latency_);
 
   // Lay out shares. Each stripe: data_units units + 1 parity unit.
   std::vector<Bytes> node_share(n);
@@ -127,7 +101,6 @@ double Raid5Group::put(const std::string& key, Bytes data) {
     shares_[node][key] = std::move(node_share[node]);
   }
   meta_[key] = ObjectMeta{data.size(), stripes};
-  return t;
 }
 
 std::optional<Bytes> Raid5Group::get(const std::string& key) const {
@@ -200,13 +173,6 @@ std::optional<Bytes> Raid5Group::get(const std::string& key) const {
   return out;
 }
 
-double Raid5Group::read_seconds(const std::string& key) const {
-  auto mit = meta_.find(key);
-  AIC_CHECK_MSG(mit != meta_.end(), "read_seconds on missing object " << key);
-  return transfer_seconds(std::max<std::uint64_t>(mit->second.size, 1),
-                          bandwidth_, latency_);
-}
-
 bool Raid5Group::erase(const std::string& key) {
   bool existed = meta_.erase(key) > 0;
   for (auto& node : shares_) node.erase(key);
@@ -269,27 +235,14 @@ std::uint64_t Raid5Group::rebuild_node(std::size_t node) {
 
 // ---------- RemoteStore ----------
 
-RemoteStore::RemoteStore(double bandwidth_bps, double latency_s)
-    : bandwidth_(bandwidth_bps), latency_(latency_s) {
-  AIC_CHECK(bandwidth_bps > 0.0);
-}
-
-double RemoteStore::put(const std::string& key, Bytes data) {
-  const double t = transfer_seconds(data.size(), bandwidth_, latency_);
+void RemoteStore::put(const std::string& key, Bytes data) {
   objects_[key] = std::move(data);
-  return t;
 }
 
 std::optional<Bytes> RemoteStore::get(const std::string& key) const {
   auto it = objects_.find(key);
   if (it == objects_.end()) return std::nullopt;
   return it->second;
-}
-
-double RemoteStore::read_seconds(const std::string& key) const {
-  auto it = objects_.find(key);
-  AIC_CHECK_MSG(it != objects_.end(), "read_seconds on missing object " << key);
-  return transfer_seconds(it->second.size(), bandwidth_, latency_);
 }
 
 bool RemoteStore::erase(const std::string& key) {

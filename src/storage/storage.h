@@ -1,4 +1,4 @@
-// Simulated checkpoint storage targets with bandwidth accounting.
+// Simulated checkpoint storage targets: in-memory byte stores.
 //
 // The paper's three levels map onto three targets:
 //   L1 — LocalDisk        (node-local disk or RAM disk)
@@ -8,11 +8,11 @@
 //   L3 — RemoteStore      (Lustre-like remote file system; per-node
 //                          bandwidth B3 shrinks as the system scales)
 //
-// Targets store named objects (checkpoint files) in memory and report the
-// time a write/read of that size takes at the configured bandwidth; the
-// discrete-event simulator turns those durations into virtual time. A
-// target can be failed (unavailable) and, for RAID-5, individual member
-// nodes can fail and be rebuilt.
+// Targets store named objects (checkpoint files) in memory and price
+// nothing: what a write or read costs is MultiLevelStore's business (it
+// owns the level bandwidths) and the transfer engine's (it charges the
+// L2/L3 drains chunk by chunk). A target can be failed (unavailable) and,
+// for RAID-5, individual member nodes can fail and be rebuilt.
 #pragma once
 
 #include <cstdint>
@@ -37,18 +37,12 @@ class StorageTarget {
   virtual ~StorageTarget() = default;
 
   virtual std::string name() const = 0;
-  /// Write bandwidth in bytes/second (reads use the same figure; the
-  /// paper's model sets r_k = c_k).
-  virtual double bandwidth_bps() const = 0;
   virtual bool available() const = 0;
 
-  /// Stores an object; returns the simulated duration in seconds.
-  /// Throws CheckError if the target is unavailable.
-  virtual double put(const std::string& key, Bytes data) = 0;
+  /// Stores an object. Throws CheckError if the target is unavailable.
+  virtual void put(const std::string& key, Bytes data) = 0;
   /// Fetches an object; returns nullopt if missing or unavailable.
   virtual std::optional<Bytes> get(const std::string& key) const = 0;
-  /// Duration a read of `key` would take (for recovery-time accounting).
-  virtual double read_seconds(const std::string& key) const = 0;
 
   virtual bool erase(const std::string& key) = 0;
   virtual std::uint64_t stored_bytes() const = 0;
@@ -57,15 +51,11 @@ class StorageTarget {
 /// Node-local disk (L1). Lost entirely on a total node failure.
 class LocalDisk final : public StorageTarget {
  public:
-  explicit LocalDisk(double bandwidth_bps, double latency_s = 0.0);
-
   std::string name() const override { return "local-disk"; }
-  double bandwidth_bps() const override { return bandwidth_; }
   bool available() const override { return !failed_; }
 
-  double put(const std::string& key, Bytes data) override;
+  void put(const std::string& key, Bytes data) override;
   std::optional<Bytes> get(const std::string& key) const override;
-  double read_seconds(const std::string& key) const override;
   bool erase(const std::string& key) override;
   std::uint64_t stored_bytes() const override;
 
@@ -75,8 +65,6 @@ class LocalDisk final : public StorageTarget {
   void replace();
 
  private:
-  double bandwidth_;
-  double latency_;
   bool failed_ = false;
   std::map<std::string, Bytes> objects_;
 };
@@ -86,20 +74,16 @@ class LocalDisk final : public StorageTarget {
 /// loss is tolerated and repairable.
 class Raid5Group final : public StorageTarget {
  public:
-  /// `nodes` >= 3; `bandwidth_bps` is the aggregate write bandwidth to the
-  /// group (the paper's B2); `stripe_unit` is the striping granularity.
-  Raid5Group(std::size_t nodes, double bandwidth_bps,
-             std::size_t stripe_unit = 64 * 1024, double latency_s = 0.0);
+  /// `nodes` >= 3; `stripe_unit` is the striping granularity.
+  explicit Raid5Group(std::size_t nodes, std::size_t stripe_unit = 64 * 1024);
 
   std::string name() const override { return "raid5-group"; }
-  double bandwidth_bps() const override { return bandwidth_; }
   /// Available while at most one member is down.
   bool available() const override { return failed_nodes() <= 1; }
 
-  double put(const std::string& key, Bytes data) override;
+  void put(const std::string& key, Bytes data) override;
   /// Reconstructs from parity transparently when one member is down.
   std::optional<Bytes> get(const std::string& key) const override;
-  double read_seconds(const std::string& key) const override;
   bool erase(const std::string& key) override;
   std::uint64_t stored_bytes() const override;
 
@@ -123,8 +107,6 @@ class Raid5Group final : public StorageTarget {
   std::size_t parity_node(std::uint64_t stripe) const;
 
   std::size_t stripe_unit_;
-  double bandwidth_;
-  double latency_;
   std::vector<bool> node_failed_;
   // shares_[node][key] -> concatenated share units for that object.
   std::vector<std::map<std::string, Bytes>> shares_;
@@ -136,21 +118,15 @@ class Raid5Group final : public StorageTarget {
 /// source), but its per-node bandwidth is the scarce resource.
 class RemoteStore final : public StorageTarget {
  public:
-  explicit RemoteStore(double bandwidth_bps, double latency_s = 0.0);
-
   std::string name() const override { return "remote-store"; }
-  double bandwidth_bps() const override { return bandwidth_; }
   bool available() const override { return true; }
 
-  double put(const std::string& key, Bytes data) override;
+  void put(const std::string& key, Bytes data) override;
   std::optional<Bytes> get(const std::string& key) const override;
-  double read_seconds(const std::string& key) const override;
   bool erase(const std::string& key) override;
   std::uint64_t stored_bytes() const override;
 
  private:
-  double bandwidth_;
-  double latency_;
   std::map<std::string, Bytes> objects_;
 };
 

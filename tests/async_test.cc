@@ -68,7 +68,7 @@ TEST(AsyncCheckpointer, PipelinedSubmitsLandInOrder) {
   std::atomic<std::uint64_t> last_sequence{0};
   std::atomic<bool> ordered{true};
   AsyncCheckpointer::Config cfg;
-  cfg.on_complete = [&](const AsyncResult& r) {
+  cfg.on_complete = [&](const AsyncResult& r, const CheckpointFile&) {
     if (completions.load() > 0 && r.sequence <= last_sequence.load())
       ordered = false;
     last_sequence = r.sequence;
@@ -99,10 +99,15 @@ TEST(AsyncCheckpointer, CompletionCarriesCompressionAccounting) {
 
   std::atomic<std::uint64_t> delta_bytes{0};
   std::atomic<std::uint64_t> kinds_full{0};
+  std::atomic<bool> file_matches{true};
   AsyncCheckpointer::Config cfg;
-  cfg.on_complete = [&](const AsyncResult& r) {
+  cfg.on_complete = [&](const AsyncResult& r, const CheckpointFile& file) {
     if (r.stats.kind == CheckpointKind::kFull) ++kinds_full;
     delta_bytes += r.stats.file_bytes;
+    // The callback sees the file the accounting describes.
+    if (file.kind != r.stats.kind ||
+        file.serialized_size() != r.stats.file_bytes)
+      file_matches = false;
   };
   AsyncCheckpointer async(std::move(cfg));
   async.submit(space, {}, 0.0);
@@ -112,6 +117,7 @@ TEST(AsyncCheckpointer, CompletionCarriesCompressionAccounting) {
   async.drain();
   EXPECT_EQ(kinds_full.load(), 1u);
   EXPECT_GT(delta_bytes.load(), 32 * kPageSize / 2);  // the full dominates
+  EXPECT_TRUE(file_matches.load());
 }
 
 TEST(AsyncCheckpointer, WorksUnderRealWorkloadChurn) {
@@ -142,7 +148,7 @@ TEST(AsyncCheckpointer, PeriodicFullSchedule) {
   std::atomic<int> fulls{0};
   AsyncCheckpointer::Config cfg;
   cfg.chain.full_period = 2;  // full, inc, inc, full, inc, inc, ...
-  cfg.on_complete = [&](const AsyncResult& r) {
+  cfg.on_complete = [&](const AsyncResult& r, const CheckpointFile&) {
     fulls += (r.stats.kind == CheckpointKind::kFull);
   };
   AsyncCheckpointer async(std::move(cfg));

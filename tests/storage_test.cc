@@ -1,4 +1,4 @@
-// Tests for storage/: bandwidth accounting, local disk failure semantics,
+// Tests for storage/: transfer pricing, local disk failure semantics,
 // RAID-5 striping + parity reconstruction + rebuild, remote store.
 #include <gtest/gtest.h>
 
@@ -42,23 +42,21 @@ TEST(TransferSeconds, RejectsNonFiniteParameters) {
 }
 
 TEST(LocalDisk, PutGetEraseAccounting) {
-  LocalDisk disk(100.0);
+  LocalDisk disk;
   Rng rng(1);
   Bytes data = random_bytes(rng, 500);
-  const double t = disk.put("ckpt0", data);
-  EXPECT_DOUBLE_EQ(t, 5.0);
+  disk.put("ckpt0", data);
   EXPECT_EQ(disk.stored_bytes(), 500u);
   auto back = disk.get("ckpt0");
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, data);
-  EXPECT_DOUBLE_EQ(disk.read_seconds("ckpt0"), 5.0);
   EXPECT_TRUE(disk.erase("ckpt0"));
   EXPECT_FALSE(disk.erase("ckpt0"));
   EXPECT_FALSE(disk.get("ckpt0").has_value());
 }
 
 TEST(LocalDisk, FailureMakesContentUnavailable) {
-  LocalDisk disk(100.0);
+  LocalDisk disk;
   disk.put("a", {1, 2, 3});
   disk.fail();
   EXPECT_FALSE(disk.available());
@@ -75,7 +73,7 @@ class Raid5Fixture : public ::testing::TestWithParam<std::size_t> {
 };
 
 TEST_P(Raid5Fixture, RoundTripAllSizes) {
-  Raid5Group g(GetParam(), 1000.0, kUnit);
+  Raid5Group g(GetParam(), kUnit);
   Rng rng(2);
   for (std::size_t size :
        {std::size_t(1), kUnit - 1, kUnit, kUnit + 1, 3 * kUnit,
@@ -93,7 +91,7 @@ TEST_P(Raid5Fixture, SurvivesAnySingleNodeLoss) {
   Rng rng(3);
   Bytes data = random_bytes(rng, 1000);
   for (std::size_t victim = 0; victim < GetParam(); ++victim) {
-    Raid5Group g(GetParam(), 1000.0, kUnit);
+    Raid5Group g(GetParam(), kUnit);
     g.put("x", data);
     g.fail_node(victim);
     EXPECT_TRUE(g.available());
@@ -106,7 +104,7 @@ TEST_P(Raid5Fixture, SurvivesAnySingleNodeLoss) {
 TEST_P(Raid5Fixture, RebuildRestoresRedundancy) {
   Rng rng(4);
   Bytes data = random_bytes(rng, 2000);
-  Raid5Group g(GetParam(), 1000.0, kUnit);
+  Raid5Group g(GetParam(), kUnit);
   g.put("x", data);
   g.fail_node(1);
   EXPECT_GT(g.rebuild_node(1), 0u);
@@ -121,7 +119,7 @@ INSTANTIATE_TEST_SUITE_P(GroupSizes, Raid5Fixture,
                          ::testing::Values(3, 4, 5, 8));
 
 TEST(Raid5, TwoNodeLossUnavailable) {
-  Raid5Group g(4, 1000.0, 64);
+  Raid5Group g(4, 64);
   g.put("x", {1, 2, 3});
   g.fail_node(0);
   g.fail_node(2);
@@ -135,7 +133,7 @@ TEST(Raid5, DegradedWriteThenRecoverOtherNode) {
   // must still work (reconstruction path).
   Rng rng(5);
   Bytes data = random_bytes(rng, 777);
-  Raid5Group g(4, 1000.0, 64);
+  Raid5Group g(4, 64);
   g.fail_node(2);
   g.put("x", data);
   auto back = g.get("x");
@@ -150,7 +148,7 @@ TEST(Raid5, TwoNodeLossGetIsNulloptNeverCrashes) {
   Bytes data = random_bytes(rng, 513);
   for (std::size_t a = 0; a < 4; ++a) {
     for (std::size_t b = a + 1; b < 4; ++b) {
-      Raid5Group g(4, 1000.0, 64);
+      Raid5Group g(4, 64);
       g.put("x", data);
       g.fail_node(a);
       EXPECT_EQ(*g.get("x"), data) << "one loss must reconstruct";
@@ -163,7 +161,7 @@ TEST(Raid5, TwoNodeLossGetIsNulloptNeverCrashes) {
 }
 
 TEST(Raid5, RebuildRejectedWhileAnotherMemberDown) {
-  Raid5Group g(4, 1000.0, 64);
+  Raid5Group g(4, 64);
   g.put("x", Bytes(300, 9));
   g.fail_node(1);
   g.fail_node(3);
@@ -180,7 +178,7 @@ TEST(Raid5, RebuildRejectedWhileAnotherMemberDown) {
 
 TEST(Raid5, StoredBytesConsistentAfterEraseUnderDegradedMode) {
   Rng rng(8);
-  Raid5Group g(4, 1000.0, 64);
+  Raid5Group g(4, 64);
   g.put("a", random_bytes(rng, 400));
   g.put("b", random_bytes(rng, 700));
   const std::uint64_t healthy_total = g.stored_bytes();
@@ -204,29 +202,23 @@ TEST(Raid5, StoredBytesConsistentAfterEraseUnderDegradedMode) {
 }
 
 TEST(Raid5, MinimumGroupSizeEnforced) {
-  EXPECT_THROW(Raid5Group(2, 100.0), CheckError);
+  EXPECT_THROW(Raid5Group(2), CheckError);
 }
 
-TEST(Raid5, WriteTimeCoversParityOverhead) {
-  Raid5Group g(5, 1000.0, 100);
-  // 400 data bytes = 1 stripe of 4x100 + 100 parity => 500 bytes written.
-  const double t = g.put("x", Bytes(400, 7));
-  EXPECT_DOUBLE_EQ(t, 0.5);
+TEST(Raid5, StoredBytesCoverParityOverhead) {
+  Raid5Group g(5, 100);
+  // 400 data bytes = 1 stripe of 4x100 + 100 parity => 500 bytes stored.
+  g.put("x", Bytes(400, 7));
+  EXPECT_EQ(g.stored_bytes(), 500u);
 }
 
 TEST(RemoteStore, PutGet) {
-  RemoteStore store(2.0 * kMB);
+  RemoteStore store;
   Rng rng(6);
   Bytes data = random_bytes(rng, 1 * kMiB);
-  const double t = store.put("ckpt", data);
-  EXPECT_NEAR(t, double(kMiB) / (2.0 * kMB), 1e-12);
+  store.put("ckpt", data);
   EXPECT_EQ(*store.get("ckpt"), data);
   EXPECT_TRUE(store.available());
-}
-
-TEST(RemoteStore, ReadSecondsMissingThrows) {
-  RemoteStore store(1000.0);
-  EXPECT_THROW((void)store.read_seconds("nope"), CheckError);
 }
 
 }  // namespace

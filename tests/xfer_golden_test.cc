@@ -24,10 +24,10 @@
 #include "common/rng.h"
 #include "fleet/fleet_scheduler.h"
 #include "fleet/qos_policy.h"
+#include "storage/staged_sink.h"
 #include "storage/storage.h"
 #include "workload/lanl_trace.h"
 #include "xfer/scheduler.h"
-#include "xfer/staged_sink.h"
 
 namespace aic::xfer {
 namespace {
@@ -85,10 +85,10 @@ struct ScriptResult {
 };
 
 ScriptResult run_script(std::uint64_t seed) {
-  storage::RemoteStore target2{1.0e9};
-  storage::RemoteStore target3{1.0e9};
-  StagedTargetSink sink2{target2};
-  StagedTargetSink sink3{target3};
+  storage::RemoteStore target2;
+  storage::RemoteStore target3;
+  storage::StagedTargetSink sink2{target2};
+  storage::StagedTargetSink sink3{target3};
 
   TransferScheduler::Config cfg;
   cfg.chunk_bytes = 300;

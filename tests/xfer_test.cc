@@ -17,10 +17,10 @@
 #include "common/rng.h"
 #include "mem/snapshot.h"
 #include "storage/multilevel_store.h"
+#include "storage/staged_sink.h"
 #include "verify/chain_verifier.h"
 #include "xfer/channel.h"
 #include "xfer/scheduler.h"
-#include "xfer/staged_sink.h"
 
 namespace aic::xfer {
 namespace {
@@ -81,8 +81,8 @@ TEST(XferChannel, ScriptedFaultsApplyInFifoOrder) {
 
 // A scheduler + remote-store sink harness used by most scheduler tests.
 struct Harness {
-  storage::RemoteStore target{1.0e9};  // publication put is not the wire
-  StagedTargetSink sink{target};
+  storage::RemoteStore target;
+  storage::StagedTargetSink sink{target};
   TransferScheduler sched;
 
   explicit Harness(TransferScheduler::Config cfg = {},
@@ -409,14 +409,12 @@ TEST(XferConcurrentAsyncDrain, WorkerDrainsWhileAppSubmits) {
   std::atomic<int> compressed{0};
   std::atomic<int> landed{0};
   ckpt::AsyncCheckpointer::Config cfg;
-  cfg.store = &store;
-  cfg.on_complete = [&](const ckpt::AsyncResult& r) {
-    EXPECT_FALSE(r.landed);
+  // The worker ships each new file itself: only it touches the store
+  // while the AsyncCheckpointer is alive.
+  cfg.on_complete = [&](const ckpt::AsyncResult&,
+                        const ckpt::CheckpointFile& file) {
     ++compressed;
-  };
-  cfg.on_landed = [&](const ckpt::AsyncResult& r) {
-    EXPECT_TRUE(r.landed);
-    EXPECT_GT(r.placement.remote, 0.0);
+    EXPECT_GT(store.put_checkpoint(file).remote, 0.0);
     ++landed;
   };
 
