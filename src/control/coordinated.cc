@@ -22,6 +22,22 @@ struct Rank {
   ckpt::CheckpointChain chain;
 };
 
+/// Builds `rank` in place: its workload initialized on its space, a fresh
+/// sampler, and the space's fault observer feeding that sampler at the
+/// clock `now`. The rank must not move afterwards (the observer holds its
+/// space and sampler).
+void init_rank(Rank& rank, const workload::WorkloadProfile& profile,
+               const predictor::SamplerConfig& sampler, const double& now) {
+  rank.wl = std::make_unique<workload::SyntheticWorkload>(profile);
+  rank.wl->initialize(rank.space);
+  rank.sampler = std::make_unique<predictor::HotPageSampler>(sampler);
+  auto* s = rank.sampler.get();
+  auto* space = &rank.space;
+  rank.space.set_fault_observer([s, space, &now](mem::PageId id) {
+    s->on_fault(id, now, space->page_bytes(id));
+  });
+}
+
 double cycle_length(const workload::WorkloadProfile& profile) {
   double total = 0.0;
   for (const auto& p : profile.phases) total += p.duration;
@@ -65,7 +81,8 @@ CoordinatedResult run_coordinated(Scheme scheme,
   model::SystemProfile sys = base.system;
   for (auto& l : sys.lambda) l *= double(config.processes);
 
-  // Build the staggered ranks.
+  // Build the staggered ranks on a shared virtual clock.
+  double now = 0.0;
   std::vector<Rank> ranks(std::size_t(config.processes));
   const auto proto = workload::spec_profile(benchmark, base.workload_scale);
   const double cycle = cycle_length(proto);
@@ -74,20 +91,7 @@ CoordinatedResult run_coordinated(Scheme scheme,
     profile.seed ^= std::uint64_t(r) * 0x9E3779B97F4A7C15ULL;
     profile.phase_shift =
         cycle * config.stagger_fraction * double(r) / config.processes;
-    auto& rank = ranks[std::size_t(r)];
-    rank.wl = std::make_unique<workload::SyntheticWorkload>(profile);
-    rank.wl->initialize(rank.space);
-    rank.sampler =
-        std::make_unique<predictor::HotPageSampler>(base.sampler);
-  }
-  // Wire the fault observers (shared virtual clock).
-  double now = 0.0;
-  for (auto& rank : ranks) {
-    auto* sampler = rank.sampler.get();
-    auto* space = &rank.space;
-    rank.space.set_fault_observer([sampler, space, &now](mem::PageId id) {
-      sampler->on_fault(id, now, space->page_bytes(id));
-    });
+    init_rank(ranks[std::size_t(r)], profile, base.sampler, now);
   }
 
   // Staged initial fulls everywhere.
@@ -105,20 +109,12 @@ CoordinatedResult run_coordinated(Scheme scheme,
   prev.c2 = prev.c1;
   prev.c3 = prev.c1;
 
-  // SIC: one static span from the estimate at a probe point.
+  // SIC: one static span, the offline optimum for the estimate a probe
+  // rank with rank 0's profile gives after one workload cycle.
   double w_static = 0.0;
   if (scheme == Scheme::kSic) {
-    // Probe pass on copies is expensive; estimate from a short dry segment
-    // of rank 0's profile via the adaptive model at mid-run conditions.
-    // Use the offline optimum for the aggregate estimate after a warmup
-    // interval of one cycle.
-    // Cheap approximation: run one cycle, take the aggregate estimate.
     std::vector<Rank> probe(1);
-    auto profile = proto;
-    probe[0].wl = std::make_unique<workload::SyntheticWorkload>(profile);
-    probe[0].wl->initialize(probe[0].space);
-    probe[0].sampler =
-        std::make_unique<predictor::HotPageSampler>(base.sampler);
+    init_rank(probe[0], proto, base.sampler, now);
     probe[0].space.protect_all();
     probe[0].wl->step(probe[0].space, cycle);
     const auto est = aggregate_estimate(probe, base.costs);

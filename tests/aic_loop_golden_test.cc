@@ -17,7 +17,10 @@
 //   AicDecisionGolden.* run_aic's NET^2 and a digest of every
 //                       IntervalRecord and DecisionTrace for two
 //                       benchmarks, and run_coordinated's NET^2 at 2 and 4
-//                       ranks, stagger 0 and 0.5 (plus one static run).
+//                       ranks, stagger 0 and 0.5, plus one static (SIC)
+//                       run, re-recorded when the SIC probe rank began
+//                       feeding its sampler page faults like the real
+//                       ranks (it used to plan at JD = 1).
 //
 // Host-dependent parts of the export are left out of the digest:
 // wall-clock trace events and the delta-compression shard counters, which
@@ -381,8 +384,8 @@ TEST(AicDecisionGolden, CoordinatedStaggered) {
 
 TEST(AicDecisionGolden, CoordinatedStatic) {
   EXPECT_EQ(coordinated_golden(Scheme::kSic, 4, 0.5),
-            "net2=3ff57d654cc94297 checkpoints=1 "
-            "delta=4147a77c00000000");
+            "net2=3ff555e1b947f6a2 checkpoints=3 "
+            "delta=415250c7c0000000");
 }
 
 }  // namespace
